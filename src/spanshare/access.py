@@ -115,8 +115,6 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
     if n < 1:
         raise ValueError("need at least one player")
     sets = [tuple(s) for s in sets]
-    if not sets:
-        raise ValueError("at least one minimal authorized set is required")
     masks = []
     for s in sets:
         if not s:
@@ -137,12 +135,19 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
     return AccessStructure(n, canonical, presentation)
 
 
+def _json_int(value) -> int:
+    # int() would truncate 3.7 and accept true; only JSON integers count.
+    if type(value) is not int:
+        raise ValueError(f"expected an integer in structure JSON, got {value!r}")
+    return value
+
+
 def structure_from_json(text: str) -> AccessStructure:
     """Parse {"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}."""
     data = json.loads(text)
     try:
-        n = int(data["n"])
-        sets = [[int(p) for p in s] for s in data["minimal_sets"]]
+        n = _json_int(data["n"])
+        sets = [[_json_int(p) for p in s] for s in data["minimal_sets"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"structure JSON needs 'n' and 'minimal_sets': {exc}") from exc
     return from_minimal_sets(n, sets)
@@ -154,8 +159,7 @@ def structure_to_json(g: AccessStructure) -> str:
 
 def is_authorized(g: AccessStructure, a) -> bool:
     """True iff `a` contains some minimal authorized set."""
-    m = _mask(a, g.n)
-    return any(m & ms == ms for ms in g.minimal_masks())
+    return _authorized_mask(g.minimal_masks(), _mask(a, g.n))
 
 
 def _authorized_mask(minimal_masks: list[int], m: int) -> bool:
@@ -193,21 +197,24 @@ class StructureClassification:
             raise ValueError("a self-dual structure is always realizable")
 
 
-def classify(g: AccessStructure, cap: int | None = None) -> StructureClassification:
-    """Self-duality, quantum realizability and connectedness flags.
+def is_realizable(g: AccessStructure) -> bool:
+    """No-cloning: no two authorized sets, so no two minimal sets, are disjoint."""
+    return all(x & y for x, y in combinations(g.minimal_masks(), 2))
 
-    Realizability is the no-cloning condition: no two authorized sets
-    are disjoint, which reduces to pairwise intersection of the minimal
-    sets.
-    """
-    mm = g.minimal_masks()
-    realizable = all(x & y for x, y in combinations(mm, 2)) if len(mm) > 1 else True
+
+def is_connected(g: AccessStructure) -> bool:
+    """True iff every player lies in some minimal authorized set."""
     covered = 0
-    for m in mm:
+    for m in g.minimal_masks():
         covered |= m
-    connected = covered == (1 << g.n) - 1
+    return covered == (1 << g.n) - 1
+
+
+def classify(g: AccessStructure, cap: int | None = None) -> StructureClassification:
+    """Self-duality, quantum realizability and connectedness flags."""
+    realizable = is_realizable(g)
     self_dual = realizable and dual(g, cap).minimal_sets == g.minimal_sets
-    return StructureClassification(self_dual, realizable, connected)
+    return StructureClassification(self_dual, realizable, is_connected(g))
 
 
 def purify(g: AccessStructure, cap: int | None = None) -> AccessStructure:
@@ -219,8 +226,8 @@ def purify(g: AccessStructure, cap: int | None = None) -> AccessStructure:
     result is checked to be self-dual and to restrict back to `g`
     exactly; both are guaranteed for realizable input.
     """
-    if not classify(g, cap).quantum_realizable:
-        raise ValueError("cannot purify an unrealizable access structure")
+    if not is_realizable(g):
+        raise ValueError("structure admits two disjoint authorized sets; not realizable")
     n1 = g.n + 1
     _check_cap(n1, cap)
     mm = g.minimal_masks()
@@ -242,16 +249,13 @@ def purify(g: AccessStructure, cap: int | None = None) -> AccessStructure:
 
 
 def maximal_unauthorized(g: AccessStructure, cap: int | None = None) -> list[Subset]:
-    """Unauthorized sets whose every proper superset is authorized."""
-    _check_cap(g.n, cap)
-    mm = g.minimal_masks()
-    out = []
-    for m in range(1 << g.n):
-        if _authorized_mask(mm, m):
-            continue
-        if all(_authorized_mask(mm, m | (1 << b)) for b in range(g.n) if not m >> b & 1):
-            out.append(m)
-    return sorted((_members(m) for m in out), key=_canon_key)
+    """Unauthorized sets whose every proper superset is authorized.
+
+    They are the complements of the dual's minimal authorized sets.
+    """
+    full = (1 << g.n) - 1
+    complements = (full & ~m for m in dual(g, cap).minimal_masks())
+    return sorted((_members(m) for m in complements), key=_canon_key)
 
 
 def enumerate_structures(

@@ -11,26 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import access, entropy, msp as msp_mod, oracle
-from .access import AccessStructure
 from .entropy import SecretSpec, format_subset
-
-
-@dataclass
-class RunConfig:
-    command: str
-    structure_path: str
-    q: int = 2
-    secret: str | None = None
-    subset: str | None = None
-    chain: str | None = None
-    all_chains: bool = False
-    fmt: str = "text"
-    cap: int = oracle.DEFAULT_CAP
-    out: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,23 +24,210 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _parse_players(text: str) -> tuple[int, ...]:
+    if not text.strip():
+        return ()
+    return tuple(int(x) for x in text.split(","))
+
+
+def _parse_chain(text: str) -> list[tuple[int, ...]]:
+    steps = [_parse_players(step) for step in text.split("|") if step.strip()]
+    return [()] + steps
+
+
+def _secret_spec(args) -> SecretSpec:
+    if args.secret is None:
+        return SecretSpec.uniform(args.q)
+    return SecretSpec(args.q, tuple(float(x) for x in args.secret.split(",")))
+
+
+def _sets_json(sets) -> str:
+    return json.dumps([list(s) for s in sets], separators=(",", ":"))
+
+
+# Each handler takes the parsed arguments, the structure, the secret and
+# an `emit` callback for output lines, and returns the exit status.
+
+
+def _classify(args, g, secret, emit) -> int:
+    flags = access.classify(g)
+    payload = {
+        "self_dual": flags.self_dual,
+        "quantum_realizable": flags.quantum_realizable,
+        "connected": flags.connected,
+    }
+    if args.fmt == "json":
+        emit(json.dumps(payload, sort_keys=True))
+    else:
+        emit(" ".join(f"{k}={str(v).lower()}" for k, v in payload.items()))
+    return 0
+
+
+def _dual(args, g, secret, emit) -> int:
+    d = access.dual(g)
+    if args.fmt == "json":
+        emit(access.structure_to_json(d))
+    else:
+        emit(f"minimal sets {_sets_json(d.minimal_sets)}")
+    return 0
+
+
+def _purify(args, g, secret, emit) -> int:
+    p = access.purify(g)
+    if args.fmt == "json":
+        emit(access.structure_to_json(p))
+    else:
+        emit(f"n={p.n} minimal sets {_sets_json(p.minimal_sets)}")
+    return 0
+
+
+def _msp(args, g, secret, emit) -> int:
+    program, _ = msp_mod.build_normal_form(g, args.q)
+    emit(msp_mod.msp_to_text(program).rstrip("\n"))
+    return 0
+
+
+def _entropy(args, g, secret, emit) -> int:
+    report = entropy.subset_report(
+        entropy.realize(g, args.q), secret, _parse_players(args.subset)
+    )
+    if args.fmt == "json":
+        emit(
+            json.dumps(
+                {
+                    "subset": list(report.subset),
+                    "authorized": report.authorized,
+                    "a": report.rank_subset,
+                    "b": report.rank_complement,
+                    "m": report.rank_total,
+                    "entropy_bits": report.entropy_bits,
+                },
+                sort_keys=True,
+            )
+        )
+    else:
+        word = "authorized" if report.authorized else "unauthorized"
+        emit(
+            f"{report.entropy_bits:.6f} bits (a={report.rank_subset},"
+            f"b={report.rank_complement},m={report.rank_total}, {word})"
+        )
+    return 0
+
+
+def _profile(args, g, secret, emit) -> int:
+    rz = entropy.realize(g, args.q)
+    if args.all_chains:
+        for chain in entropy.maximal_chains(g):
+            profile = entropy.chain_profile(g, secret, chain, rz)
+            order = ">".join(
+                str((set(b) - set(a)).pop()) for a, b in zip(chain, chain[1:])
+            )
+            vals = ",".join(f"{v:.6f}" for v in profile.entropies)
+            emit(f"chain {order} entropies {vals} crossover {profile.crossover}")
+        return 0
+    chain = _parse_chain(args.chain) if args.chain else entropy.greedy_chain(g)
+    profile = entropy.chain_profile(g, secret, chain, rz)
+    if args.fmt == "csv":
+        emit(entropy.reports_to_csv(profile.reports).rstrip("\n"))
+    elif args.fmt == "json":
+        emit(
+            json.dumps(
+                {
+                    "chain": [list(s) for s in profile.chain],
+                    "entropies": list(profile.entropies),
+                    "crossover": profile.crossover,
+                },
+                sort_keys=True,
+            )
+        )
+    else:
+        for step, r in zip(profile.chain, profile.reports):
+            emit(f"{format_subset(step) or '(empty)'}: {r.entropy_bits:.6f} bits")
+    return 0
+
+
+def _tent(args, g, secret, emit) -> int:
+    args.fmt, args.all_chains = "csv", False
+    return _profile(args, g, secret, emit)
+
+
+def _verify_theorem(args, g, secret, emit, rz=None, label="OK") -> int:
+    violations = entropy.verify_monotonicity(g, secret, rz)
+    if violations:
+        for v in violations:
+            emit(f"VIOLATION {v}")
+        return 2
+    emit(f"{label}: 0 violations over {2 ** g.n} subsets")
+    return 0
+
+
+def _verify_oracle(args, g, secret, emit) -> int:
+    rz = entropy.realize(g, args.q)
+    d = rz.program.matrix.rows
+    if args.q**d > args.cap:
+        print(
+            f"warning: q^d = {args.q}^{d} exceeds cap {args.cap}; "
+            "running the rank formula only",
+            file=sys.stderr,
+        )
+        return _verify_theorem(args, g, secret, emit, rz, "OK (formula only)")
+    mismatches = oracle.compare_with_formula(rz, secret, args.cap)
+    secrecy = oracle.verify_secrecy_recoverability(rz, secret, args.cap)
+    if mismatches or not secrecy.ok():
+        for m in mismatches:
+            emit(
+                f"MISMATCH {format_subset(m.subset) or '(empty)'}: "
+                f"formula {m.formula_bits:.9f} oracle {m.oracle_bits:.9f}"
+            )
+        for s in secrecy.secrecy_violations:
+            emit(f"SECRECY LEAK {s}")
+        for r in secrecy.recoverability_violations:
+            emit(f"RECOVERY FAILURE {r}")
+        return 2
+    total = 2**g.n
+    emit(f"OK: {total}/{total} subsets match; secrecy OK; recoverability OK")
+    return 0
+
+
+def _css(args, g, secret, emit) -> int:
+    form = msp_mod.to_css(*msp_mod.build_normal_form(g, args.q))
+    if args.fmt == "json":
+        emit(
+            json.dumps(
+                {
+                    "x_bar": list(form.x_bar),
+                    "generators": [list(v) for v in form.generators],
+                },
+                sort_keys=True,
+            )
+        )
+    else:
+        emit("xbar: " + " ".join(str(x) for x in form.x_bar))
+        for gen in form.generators:
+            emit("generator: " + " ".join(str(x) for x in gen))
+    return 0
+
+
+COMMANDS = {
+    "classify": (_classify, "report self-duality, realizability and connectedness"),
+    "dual": (_dual, "print the dual access structure"),
+    "purify": (_purify, "print the one-extra-player self-dual extension"),
+    "msp": (_msp, "dump the normal-form span matrix and row labeling"),
+    "entropy": (_entropy, "entropy of one share subset by the rank formula"),
+    "profile": (_profile, "entropy profile along subset chains"),
+    "verify-theorem": (_verify_theorem, "exhaustive entropy monotonicity sweep"),
+    "verify-oracle": (_verify_oracle, "simulate and compare against the rank formula"),
+    "css": (_css, "print the coset form: secret vector and code generators"),
+    "tent": (_tent, "CSV entropy profile along one maximal chain"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spanshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "classify": "report self-duality, realizability and connectedness",
-        "dual": "print the dual access structure",
-        "purify": "print the one-extra-player self-dual extension",
-        "msp": "dump the normal-form span matrix and row labeling",
-        "entropy": "entropy of one share subset by the rank formula",
-        "profile": "entropy profile along subset chains",
-        "verify-theorem": "exhaustive entropy monotonicity sweep",
-        "verify-oracle": "simulate and compare against the rank formula",
-        "css": "print the coset form: secret vector and code generators",
-        "tent": "CSV entropy profile along one maximal chain",
-    }
-    for name, help_text in commands.items():
+    for name, (handler, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--structure", required=True, help="access structure JSON file")
         p.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
         p.add_argument("--secret", help="comma-separated secret distribution")
@@ -72,238 +243,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_players(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
-    return tuple(int(x) for x in text.split(","))
-
-
-def _parse_chain(text: str) -> list[tuple[int, ...]]:
-    steps = [_parse_players(step) for step in text.split("|") if step.strip()]
-    return [()] + steps
-
-
-def _secret_spec(config: RunConfig) -> SecretSpec:
-    if config.secret is None:
-        return SecretSpec.uniform(config.q)
-    probs = tuple(float(x) for x in config.secret.split(","))
-    return SecretSpec(config.q, probs)
-
-
-def _load_structure(config: RunConfig) -> AccessStructure:
-    return access.structure_from_json(Path(config.structure_path).read_text())
-
-
-def _sets_json(sets) -> str:
-    return json.dumps([list(s) for s in sets], separators=(",", ":"))
-
-
-def run(config: RunConfig, stream=None) -> int:
-    """Execute one command; returns the process exit status."""
-    out_lines: list[str] = []
-    emit = out_lines.append
-    try:
-        status = _dispatch(config, emit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
-        (stream or sys.stdout).write(text)
-    return status
-
-
-def _dispatch(config: RunConfig, emit) -> int:
-    g = _load_structure(config)
-    secret = _secret_spec(config)
-    if config.command == "classify":
-        flags = access.classify(g)
-        payload = {
-            "self_dual": flags.self_dual,
-            "quantum_realizable": flags.quantum_realizable,
-            "connected": flags.connected,
-        }
-        if config.fmt == "json":
-            emit(json.dumps(payload, sort_keys=True))
-        else:
-            emit(" ".join(f"{k}={str(v).lower()}" for k, v in payload.items()))
-        return 0
-
-    if config.command == "dual":
-        d = access.dual(g)
-        if config.fmt == "json":
-            emit(access.structure_to_json(d))
-        else:
-            emit(f"minimal sets {_sets_json(d.minimal_sets)}")
-        return 0
-
-    if config.command == "purify":
-        p = access.purify(g)
-        if config.fmt == "json":
-            emit(access.structure_to_json(p))
-        else:
-            emit(f"n={p.n} minimal sets {_sets_json(p.minimal_sets)}")
-        return 0
-
-    if config.command == "msp":
-        program, _ = msp_mod.build_normal_form(g, config.q)
-        emit(msp_mod.msp_to_text(program).rstrip("\n"))
-        return 0
-
-    if config.command == "entropy":
-        report = entropy.subset_report(
-            entropy.realize(g, config.q), secret, _parse_players(config.subset)
-        )
-        if config.fmt == "json":
-            emit(
-                json.dumps(
-                    {
-                        "subset": list(report.subset),
-                        "authorized": report.authorized,
-                        "a": report.rank_subset,
-                        "b": report.rank_complement,
-                        "m": report.rank_total,
-                        "entropy_bits": report.entropy_bits,
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            word = "authorized" if report.authorized else "unauthorized"
-            emit(
-                f"{report.entropy_bits:.6f} bits (a={report.rank_subset},"
-                f"b={report.rank_complement},m={report.rank_total}, {word})"
-            )
-        return 0
-
-    if config.command == "profile":
-        rz = entropy.realize(g, config.q)
-        if config.all_chains:
-            for chain in entropy.maximal_chains(g):
-                profile = entropy.chain_profile(g, secret, chain, rz)
-                order = ">".join(
-                    str((set(b) - set(a)).pop()) for a, b in zip(chain, chain[1:])
-                )
-                vals = ",".join(f"{v:.6f}" for v in profile.entropies)
-                emit(f"chain {order} entropies {vals} crossover {profile.crossover}")
-            return 0
-        chain = (
-            _parse_chain(config.chain) if config.chain else entropy.greedy_chain(g)
-        )
-        profile = entropy.chain_profile(g, secret, chain, rz)
-        if config.fmt == "csv":
-            emit(entropy.reports_to_csv(profile.reports).rstrip("\n"))
-        elif config.fmt == "json":
-            emit(
-                json.dumps(
-                    {
-                        "chain": [list(s) for s in profile.chain],
-                        "entropies": list(profile.entropies),
-                        "crossover": profile.crossover,
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            for step, r in zip(profile.chain, profile.reports):
-                emit(f"{format_subset(step) or '(empty)'}: {r.entropy_bits:.6f} bits")
-        return 0
-
-    if config.command == "verify-theorem":
-        violations = entropy.verify_monotonicity(g, secret)
-        if violations:
-            for v in violations:
-                emit(f"VIOLATION {v}")
-            return 2
-        emit(f"OK: 0 violations over {2 ** g.n} subsets")
-        return 0
-
-    if config.command == "verify-oracle":
-        rz = entropy.realize(g, config.q)
-        d = rz.program.matrix.rows
-        if config.q**d > config.cap:
-            print(
-                f"warning: q^d = {config.q}^{d} exceeds cap {config.cap}; "
-                "running the rank formula only",
-                file=sys.stderr,
-            )
-            violations = entropy.verify_monotonicity(g, secret, rz)
-            if violations:
-                for v in violations:
-                    emit(f"VIOLATION {v}")
-                return 2
-            emit(f"OK (formula only): 0 violations over {2 ** g.n} subsets")
-            return 0
-        mismatches = oracle.compare_with_formula(rz, secret, config.cap)
-        secrecy = oracle.verify_secrecy_recoverability(rz, secret, config.cap)
-        total = 2**g.n
-        if mismatches or not secrecy.ok():
-            for m in mismatches:
-                emit(
-                    f"MISMATCH {format_subset(m.subset) or '(empty)'}: "
-                    f"formula {m.formula_bits:.9f} oracle {m.oracle_bits:.9f}"
-                )
-            for s in secrecy.secrecy_violations:
-                emit(f"SECRECY LEAK {s}")
-            for r in secrecy.recoverability_violations:
-                emit(f"RECOVERY FAILURE {r}")
-            return 2
-        emit(
-            f"OK: {total}/{total} subsets match; secrecy OK; recoverability OK"
-        )
-        return 0
-
-    if config.command == "css":
-        program, layout = msp_mod.build_normal_form(g, config.q)
-        form = msp_mod.to_css(program, layout)
-        if config.fmt == "json":
-            emit(
-                json.dumps(
-                    {
-                        "x_bar": list(form.x_bar),
-                        "generators": [list(v) for v in form.generators],
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            emit("xbar: " + " ".join(str(x) for x in form.x_bar))
-            for gen in form.generators:
-                emit("generator: " + " ".join(str(x) for x in gen))
-        return 0
-
-    if config.command == "tent":
-        rz = entropy.realize(g, config.q)
-        chain = (
-            _parse_chain(config.chain) if config.chain else entropy.greedy_chain(g)
-        )
-        profile = entropy.chain_profile(g, secret, chain, rz)
-        emit(entropy.reports_to_csv(profile.reports).rstrip("\n"))
-        return 0
-
-    raise ValueError(f"unknown command {config.command}")
-
-
 def main(argv=None) -> int:
+    """Run one command; returns the process exit status."""
     args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        structure_path=args.structure,
-        q=args.q,
-        secret=args.secret,
-        subset=getattr(args, "subset", None),
-        chain=getattr(args, "chain", None),
-        all_chains=getattr(args, "all_chains", False),
-        fmt=args.fmt,
-        cap=args.cap,
-        out=args.out,
-    )
-    return run(config)
+    lines: list[str] = []
+    try:
+        g = access.structure_from_json(Path(args.structure).read_text())
+        status = args.handler(args, g, _secret_spec(args), lines.append)
+        text = "\n".join(lines) + ("\n" if lines else "")
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -39,6 +39,8 @@ class SecretSpec:
     distribution: tuple[float, ...]
 
     def __post_init__(self):
+        if self.q < 2:
+            raise ValueError(f"field size must be at least 2, got {self.q}")
         if len(self.distribution) != self.q:
             raise ValueError("need one probability per field element")
         if any(p < 0 for p in self.distribution):
@@ -48,7 +50,7 @@ class SecretSpec:
 
     @classmethod
     def uniform(cls, q: int) -> "SecretSpec":
-        return cls(q, (1.0 / q,) * q)
+        return cls(q, tuple(1.0 / q for _ in range(q)))
 
     @classmethod
     def point(cls, q: int, s: int) -> "SecretSpec":
@@ -107,13 +109,12 @@ class SchemeRealization:
 
 
 def realize(g: AccessStructure, q: int = 2) -> SchemeRealization:
-    """Build the normal-form realization, purifying when not self-dual."""
-    flags = classify(g)
-    if not flags.quantum_realizable:
-        raise ValueError("structure admits two disjoint authorized sets; not realizable")
-    if not flags.connected:
-        raise ValueError("structure has a player outside every minimal set")
-    if flags.self_dual:
+    """Build the normal-form realization, purifying when not self-dual.
+
+    `purify` rejects unrealizable input and `build_normal_form` rejects
+    a player outside every minimal set, which purification keeps outside.
+    """
+    if classify(g).self_dual:
         program, layout = build_normal_form(g, q)
         return SchemeRealization(g, program, layout, None)
     extended = purify(g)
@@ -132,7 +133,7 @@ def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport
     complement = set(rz.full_players) - set(a)
     a_rk = rank(rz.program.submatrix(a))
     b_rk = rank(rz.program.submatrix(complement))
-    m_rk = rank(rz.program.matrix)
+    m_rk = rz.layout.e  # build_normal_form checked that M has full column rank
     authorized = is_authorized(rz.structure, a)
     bits = (a_rk + b_rk - m_rk) * math.log2(rz.q)
     if authorized:

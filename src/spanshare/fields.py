@@ -41,18 +41,6 @@ class PrimeField:
     def canon(self, x: int) -> int:
         return x % self.q
 
-    def neg(self, x: int) -> int:
-        return (-x) % self.q
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.q
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.q
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.q
-
     def inv(self, x: int) -> int:
         if x % self.q == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -88,17 +76,11 @@ class FieldMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
     def submatrix(self, row_indices) -> "FieldMatrix":
         return FieldMatrix(self.field, tuple(self.entries[i] for i in row_indices), self.cols)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, tuple(self.column(j) for j in range(self.cols)), self.rows)
 
     def mul_vector(self, v: Vector) -> Vector:
         if len(v) != self.cols:

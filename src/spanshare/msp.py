@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .access import AccessStructure, Subset, classify, from_minimal_sets, is_authorized
+from .access import AccessStructure, Subset, from_minimal_sets, is_authorized
+from .access import is_connected, is_realizable, subsets_in_order
 from .fields import (
     FieldMatrix,
     PrimeField,
@@ -105,10 +106,9 @@ def build_normal_form(
     and their members are taken in the structure's presentation order,
     which pins the block layout and the row labeling.
     """
-    flags = classify(g)
-    if not flags.quantum_realizable:
+    if not is_realizable(g):
         raise ValueError("structure admits two disjoint authorized sets; not realizable")
-    if not flags.connected:
+    if not is_connected(g):
         raise ValueError("structure has a player outside every minimal set")
     fq = PrimeField(q)
     order = g.presentation
@@ -138,7 +138,9 @@ def build_normal_form(
         col += r_i
     program = MonotoneSpanProgram(fq, FieldMatrix(fq, tuple(rows), e), tuple(psi))
     layout = NormalFormLayout(order, sizes, tuple(row_blocks), tuple(col_blocks))
-    assert rank(program.matrix) == 1 + c, "normal form must have full column rank"
+    # subset_report relies on this: it takes rank(M) = e from the layout.
+    if rank(program.matrix) != e:
+        raise RuntimeError("normal form must have full column rank")
     return program, layout
 
 
@@ -170,9 +172,7 @@ def rejection_witness(msp: MonotoneSpanProgram, b) -> Vector:
     Such a v exists exactly when `b` is rejected; it certifies that no
     row combination of `b` reaches the target.
     """
-    idx = msp.rows_of(b)
-    sub = msp.matrix.submatrix(idx)
-    for v in kernel_basis(sub):
+    for v in kernel_basis(msp.submatrix(b)):
         if v[0] != 0:
             return v
     raise ValueError("set is accepted; no rejection witness exists")
@@ -182,9 +182,7 @@ def computes(msp: MonotoneSpanProgram, g: AccessStructure) -> bool:
     """True iff acceptance matches authorization for all 2^n subsets."""
     if msp.n_players != g.n:
         return False
-    players = g.players
-    for bits in product((False, True), repeat=g.n):
-        subset = tuple(p for p, keep in zip(players, bits) if keep)
+    for subset in subsets_in_order(g.players):
         if bool(accepts(msp, subset)) != is_authorized(g, subset):
             return False
     return True

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .access import is_authorized, subsets_in_order
 from .entropy import SchemeRealization, SecretSpec, subset_report
-from .msp import MonotoneSpanProgram
+from .msp import MonotoneSpanProgram, encoding_image
 
 DEFAULT_CAP = 2**22  # maximum number of amplitudes in a state vector
 
@@ -124,13 +123,11 @@ def encode_secret(msp: MonotoneSpanProgram, s: int, cap: int | None = None) -> P
     q = msp.field.q
     d, e = msp.matrix.rows, msp.matrix.cols
     _check_cap(q, d, cap)
-    indices = set()
-    for rest in product(range(q), repeat=e - 1):
-        indices.add(basis_index(msp.matrix.mul_vector((s % q,) + rest), q))
+    indices = sorted(basis_index(cw, q) for cw in encoding_image(msp, s))
     if len(indices) != q ** (e - 1):
         raise ValueError("encoding collides; the program is not in normal form")
     amplitudes = np.zeros(q**d, dtype=complex)
-    amplitudes[sorted(indices)] = 1.0 / math.sqrt(len(indices))
+    amplitudes[indices] = 1.0 / math.sqrt(len(indices))
     return PureState(q, d, amplitudes)
 
 

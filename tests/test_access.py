@@ -227,3 +227,15 @@ def test_enumeration_cap():
     small = from_minimal_sets(3, [[1, 2]])
     with pytest.raises(ValueError):
         dual(small, cap=2)
+
+
+def test_json_rejects_non_integers():
+    for text in (
+        '{"n": 3.7, "minimal_sets": [[1,2],[2,3],[3,1.9]]}',
+        '{"n": 3, "minimal_sets": [[1,2],[2,3],[3,1.9]]}',
+        '{"n": 3.0, "minimal_sets": [[1,2],[2,3],[3,1]]}',
+        '{"n": 3, "minimal_sets": [[1,true],[2,3]]}',
+        '{"n": true, "minimal_sets": [[1]]}',
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            structure_from_json(text)

@@ -243,3 +243,40 @@ def test_composite_field_is_input_error(capsys, tri_path):
     )
     assert code == 1
     assert "prime" in err
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_field_below_two_is_input_error(capsys, tri_path):
+    code, out, err = run_cli(capsys, "classify", "--structure", tri_path, "--q", "0")
+    assert_one_line_error(code, out, err)
+    assert "at least 2" in err
+
+
+def test_out_into_missing_directory_is_input_error(capsys, tri_path, tmp_path):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, "tent", "--structure", tri_path, "--out", str(target))
+    assert_one_line_error(code, out, err)
+    assert not target.exists()
+
+
+def test_memory_error_is_input_error(capsys, tri_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.77 GiB")
+
+    monkeypatch.setattr(cli.oracle, "compare_with_formula", exhausted)
+    code, out, err = run_cli(capsys, "verify-oracle", "--structure", tri_path)
+    assert_one_line_error(code, out, err)
+    assert "5.77 GiB" in err
+
+
+def test_non_integer_structure_is_input_error(capsys, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text('{"n": 3.7, "minimal_sets": [[1,2],[2,3],[3,1.9]]}')
+    code, out, err = run_cli(capsys, "classify", "--structure", str(path))
+    assert_one_line_error(code, out, err)
+    assert "integer" in err

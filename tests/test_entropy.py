@@ -235,3 +235,40 @@ def test_csv_rendering(triangle, triangle_rz, uniform2):
         "2-3,2,true,3.000000",
         "1-2-3,3,true,1.000000",
     ]
+
+
+def test_secret_spec_rejects_fields_below_two():
+    for q in (-1, 0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            SecretSpec.uniform(q)
+
+
+def test_realize_enumerates_the_dual_once_pure_twice_purified(monkeypatch, triangle, fan):
+    from spanshare import access
+
+    calls = []
+    original = access.dual
+
+    def counting_dual(g, cap=None):
+        calls.append(g)
+        return original(g, cap)
+
+    monkeypatch.setattr(access, "dual", counting_dual)
+    realize(triangle, 2)
+    assert len(calls) == 1
+    calls.clear()
+    realize(fan, 2)
+    assert len(calls) == 2
+
+
+def test_rank_total_is_the_rank_of_the_whole_matrix():
+    """subset_report takes m = e from the layout; elimination must agree."""
+    from spanshare.fields import rank
+
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            for q in (2, 3):
+                rz = realize(g, q)
+                m = rank(rz.program.matrix)
+                for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
+                    assert report.rank_total == m
