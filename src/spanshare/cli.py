@@ -2,8 +2,10 @@
 
 Reads an access structure from JSON, dispatches to the engines, and
 prints deterministic text, JSON or CSV reports. Exit status: 0 for
-success with no violations, 1 for input errors, 2 when a verification
-command finds violations.
+success with no violations, 1 for input errors (a one-line `error:` on
+stderr), 2 when a verification command finds violations or an engine's
+internal invariant check fails (a `RuntimeError`, also reported as a
+one-line `error:`).
 """
 
 from __future__ import annotations
@@ -258,6 +260,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # an engine's invariant check failed
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -7,9 +7,18 @@ shares held by a player set A is
     S(A) = (a + b - m) * log2(q)               otherwise
 
 where a, b, m are the ranks of the rows of A, the rows of its
-complement, and the whole matrix. Structures that are not self-dual
-are first extended by one purification player; the extra share is kept
-out of every queried subset but participates in the complement ranks.
+complement, and the whole matrix. In the normal form these ranks are
+counted from the block layout, with no elimination: for a player set S,
+
+    rank(M_S) = sum_i |A_i & S| - max(0, K(S) - 1),
+
+with A_i the minimal sets and K(S) the number of them inside S, and
+m = e because the build checks full column rank (see
+`NormalFormLayout.rank_of`). Exact elimination over F_q is the
+reference the tests hold the count to. Structures that are not
+self-dual are first extended by one purification player; the extra
+share is kept out of every queried subset but participates in the
+complement ranks.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .access import (
     purify,
     subsets_in_order,
 )
-from .fields import rank
 from .msp import MonotoneSpanProgram, NormalFormLayout, build_normal_form
 
 
@@ -131,8 +139,8 @@ def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport
     if not set(a) <= original:
         raise ValueError(f"subset {a} contains unknown players")
     complement = set(rz.full_players) - set(a)
-    a_rk = rank(rz.program.submatrix(a))
-    b_rk = rank(rz.program.submatrix(complement))
+    a_rk = rz.layout.rank_of(a)
+    b_rk = rz.layout.rank_of(complement)
     m_rk = rz.layout.e  # build_normal_form checked that M has full column rank
     authorized = is_authorized(rz.structure, a)
     bits = (a_rk + b_rk - m_rk) * math.log2(rz.q)
@@ -169,18 +177,30 @@ class MonotonicityViolation:
 def verify_monotonicity(
     g: AccessStructure, secret: SecretSpec, rz: SchemeRealization | None = None
 ) -> list[MonotonicityViolation]:
-    """Check entropy ordering over every nested subset pair.
+    """Check entropy ordering over every covering pair (A, A u {p}).
 
     Unauthorized pairs must be nondecreasing and authorized pairs
-    nonincreasing. Entropies of same-flag pairs differ by an integer
-    multiple of log2 q, so the comparison is exact on the rank sums.
+    nonincreasing. Unauthorized sets are closed downward and authorized
+    sets upward, so every one-player chain between a nested same-flag
+    pair keeps that flag: a nested pair out of order exists iff a
+    covering pair out of order does, and the returned list names
+    covering pairs only (n * 2^(n-1) comparisons instead of 4^n).
+    Entropies of same-flag pairs differ by an integer multiple of
+    log2 q, so the comparison is exact on the rank sums.
     """
-    reports = all_subset_entropies(g, secret, rz)
+    return _covering_violations(all_subset_entropies(g, secret, rz))
+
+
+def _covering_violations(reports) -> list[MonotonicityViolation]:
+    """Same-flag covering pairs of `reports`, one per subset, out of order."""
+    by_subset = {r.subset: r for r in reports}
+    players = max(by_subset, key=len)
     violations = []
     for small in reports:
-        for large in reports:
-            if not set(small.subset) < set(large.subset):
+        for p in players:
+            if p in small.subset:
                 continue
+            large = by_subset[tuple(sorted(small.subset + (p,)))]
             if small.authorized != large.authorized:
                 continue
             if small.authorized and small.rank_excess < large.rank_excess:
@@ -247,9 +267,19 @@ def chain_profile(
 
 
 def maximal_chains(g: AccessStructure):
-    """All n! one-player-at-a-time chains from empty to full, lexicographic."""
-    for perm in permutations(g.players):
-        yield [tuple(sorted(perm[:i])) for i in range(g.n + 1)]
+    """All n! one-player-at-a-time chains from empty to full, lexicographic.
+
+    Refuses up front when n! exceeds 2^ENUMERATION_CAP, the bound the
+    subset sweeps use, instead of running for hours.
+    """
+    if math.factorial(g.n) > 2**access.ENUMERATION_CAP:
+        raise ValueError(
+            f"refusing {g.n}! chain enumeration (cap 2^{access.ENUMERATION_CAP})"
+        )
+    return (
+        [tuple(sorted(perm[:i])) for i in range(g.n + 1)]
+        for perm in permutations(g.players)
+    )
 
 
 def greedy_chain(g: AccessStructure) -> list[Subset]:

@@ -13,6 +13,7 @@ closing row with the last, both in presentation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .access import AccessStructure, Subset, from_minimal_sets, is_authorized
@@ -90,6 +91,37 @@ class NormalFormLayout:
     def e(self) -> int:
         return self.c + 1
 
+    @cached_property
+    def _block_masks(self) -> tuple[int, ...]:
+        """Per block, its minimal set as a bitmask with bit p for player p."""
+        return tuple(sum(1 << p for p in a_i) for a_i in self.minimal_set_order)
+
+    def rank_of(self, players) -> int:
+        """rank(M_S) for the rows of the player set S, counted from the blocks.
+
+        Block i gives one row per member of A_i in S. The rows of a block
+        wholly inside S sum to the secret column, so the K(S) full blocks
+        are tied together through that one shared column and lose
+        K(S) - 1 dimensions. The rows of a block missing a member enter
+        no dependence: the identity rows are unit vectors, and the
+        closing row, if present, has a band column (the missing
+        member's) that no other row of S covers. Hence
+
+            rank(M_S) = sum_i |A_i & S| - max(0, K(S) - 1),
+
+        at O(k) integer operations. Exact for the matrix that
+        `build_normal_form` lays out this way.
+        """
+        s = 0
+        for p in players:
+            s |= 1 << p
+        rows = full = 0
+        for mask in self._block_masks:
+            hit = mask & s
+            rows += hit.bit_count()
+            full += hit == mask
+        return rows - max(0, full - 1)
+
     def block_of_row(self, row: int) -> int | None:
         for i, (lo, hi) in enumerate(self.row_blocks):
             if lo <= row < hi:
@@ -138,7 +170,8 @@ def build_normal_form(
         col += r_i
     program = MonotoneSpanProgram(fq, FieldMatrix(fq, tuple(rows), e), tuple(psi))
     layout = NormalFormLayout(order, sizes, tuple(row_blocks), tuple(col_blocks))
-    # subset_report relies on this: it takes rank(M) = e from the layout.
+    # subset_report relies on this: it takes rank(M) = e from the layout
+    # and counts subset ranks with NormalFormLayout.rank_of.
     if rank(program.matrix) != e:
         raise RuntimeError("normal form must have full column rank")
     return program, layout

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -280,3 +281,38 @@ def test_non_integer_structure_is_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "classify", "--structure", str(path))
     assert_one_line_error(code, out, err)
     assert "integer" in err
+
+
+@pytest.mark.parametrize(
+    "subset, q, expected",
+    [
+        ("1,3,5,7,9", "2", "126.000000 bits (a=350,b=280,m=505, authorized)\n"),
+        ("2,4,6,8", "3", "198.120313 bits (a=280,b=350,m=505, unauthorized)\n"),
+    ],
+    ids=["q2-odd", "q3-even"],
+)
+def test_entropy_5_of_9_ranks(capsys, tmp_path, subset, q, expected):
+    # Recorded from the elimination-based subset ranks.
+    path = tmp_path / "t5of9.json"
+    sets = [list(c) for c in itertools.combinations(range(1, 10), 5)]
+    path.write_text(json.dumps({"n": 9, "minimal_sets": sets}))
+    code, out, _ = run_cli(capsys, "entropy", "--structure", str(path), "--set", subset, "--q", q)
+    assert (code, out) == (0, expected)
+
+
+def test_all_chains_beyond_the_enumeration_cap_is_input_error(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 10, "minimal_sets": [list(range(1, 11))]}))
+    code, out, err = run_cli(capsys, "profile", "--structure", str(path), "--all-chains")
+    assert_one_line_error(code, out, err)
+    assert "10! chain enumeration" in err
+
+
+def test_invariant_failure_is_a_one_line_error(capsys, tri_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("authorization must flip exactly once along a chain")
+
+    monkeypatch.setattr(cli.entropy, "chain_profile", broken)
+    code, out, err = run_cli(capsys, "profile", "--structure", tri_path)
+    assert (code, out) == (2, "")
+    assert err == "error: authorization must flip exactly once along a chain\n"

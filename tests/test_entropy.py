@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanshare.access import enumerate_structures, from_minimal_sets
 from spanshare.entropy import (
@@ -272,3 +274,110 @@ def test_rank_total_is_the_rank_of_the_whole_matrix():
                 m = rank(rz.program.matrix)
                 for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
                     assert report.rank_total == m
+
+
+def _assert_ranks_match_elimination(g, q):
+    """a, b and m of every report equal exact elimination's ranks."""
+    from spanshare.fields import rank
+
+    rz = realize(g, q)
+    m = rank(rz.program.matrix)
+    for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
+        complement = set(rz.full_players) - set(report.subset)
+        assert report.rank_subset == rank(rz.program.submatrix(report.subset))
+        assert report.rank_complement == rank(rz.program.submatrix(complement))
+        assert report.rank_total == m
+
+
+def test_subset_ranks_match_elimination_exhaustive():
+    from spanshare.access import classify
+
+    purified = 0
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            purified += not classify(g).self_dual
+            for q in (2, 3, 5):
+                _assert_ranks_match_elimination(g, q)
+    assert purified > 0
+
+
+@st.composite
+def realizable_structures(draw):
+    """Connected structures on up to 6 players with no two disjoint authorized sets."""
+    n = draw(st.integers(1, 6))
+    candidates = draw(
+        st.lists(st.frozensets(st.integers(1, n), min_size=1), min_size=1, max_size=8)
+    )
+    family = []
+    for s in candidates:
+        if s not in family and all(s & t for t in family):
+            family.append(s)
+    minimal = [s for s in family if not any(t < s for t in family)]
+    used = sorted(set().union(*minimal))
+    relabel = {p: i + 1 for i, p in enumerate(used)}
+    return from_minimal_sets(len(used), [sorted(relabel[p] for p in s) for s in minimal])
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizable_structures(), st.sampled_from((2, 3, 5)))
+def test_subset_ranks_match_elimination_random(g, q):
+    _assert_ranks_match_elimination(g, q)
+
+
+def test_subset_report_runs_no_elimination(monkeypatch, triangle, fan, star4):
+    from spanshare import fields
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination ran")
+
+    realizations = [(g, realize(g, 2)) for g in (triangle, fan, star4)]
+    monkeypatch.setattr(fields, "_rref", refuse)
+    secret = SecretSpec.uniform(2)
+    for g, rz in realizations:
+        assert len(all_subset_entropies(g, secret, rz)) == 2**g.n
+        assert verify_monotonicity(g, secret, rz) == []
+        assert extremal_check(g, secret, rz).all_pass()
+        assert chain_profile(g, secret, greedy_chain(g), rz).is_tent()
+
+
+def _all_pairs_violations(reports):
+    """The rule verify_monotonicity used to apply: every nested same-flag pair."""
+    out = set()
+    for small in reports:
+        for large in reports:
+            if not set(small.subset) < set(large.subset):
+                continue
+            if small.authorized != large.authorized:
+                continue
+            if small.authorized and small.rank_excess < large.rank_excess:
+                out.add((small.subset, large.subset))
+            if not small.authorized and small.rank_excess > large.rank_excess:
+                out.add((small.subset, large.subset))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_covering_pairs_find_a_violation_iff_all_pairs_do(data):
+    from spanshare.access import subsets_in_order
+    from spanshare.entropy import EntropyReport, _covering_violations
+
+    n = data.draw(st.integers(1, 5))
+    subsets = list(subsets_in_order(range(1, n + 1)))
+    generators = data.draw(st.lists(st.sampled_from(subsets), max_size=4))
+    excess = data.draw(st.lists(st.integers(0, 3), min_size=len(subsets), max_size=len(subsets)))
+    reports = [
+        EntropyReport(a, any(set(gen) <= set(a) for gen in generators), x, 3, 3, float(x))
+        for a, x in zip(subsets, excess)
+    ]
+    covering = {(v.smaller.subset, v.larger.subset) for v in _covering_violations(reports)}
+    reference = _all_pairs_violations(reports)
+    assert bool(covering) == bool(reference)
+    assert covering == {(s, l) for s, l in reference if len(l) == len(s) + 1}
+
+
+def test_maximal_chains_refuses_beyond_the_enumeration_cap():
+    g = from_minimal_sets(10, [list(range(1, 11))])  # 10! > 2^20 chains
+    with pytest.raises(ValueError, match="10! chain enumeration"):
+        maximal_chains(g)
+    assert len(list(maximal_chains(from_minimal_sets(4, [[1, 2, 3, 4]])))) == 24
