@@ -5,7 +5,8 @@ prints deterministic text, JSON or CSV reports. Exit status: 0 for
 success with no violations, 1 for input errors (a one-line `error:` on
 stderr), 2 when a verification command finds violations or an engine's
 internal invariant check fails (a `RuntimeError`, also reported as a
-one-line `error:`).
+one-line `error:`). `RecursionError` and `NotImplementedError` are
+crashes, not verdicts, and propagate.
 """
 
 from __future__ import annotations
@@ -260,6 +261,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except (RecursionError, NotImplementedError):  # crashes, not verdicts
+        raise
     except RuntimeError as exc:  # an engine's invariant check failed
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -188,13 +188,12 @@ def verify_monotonicity(
     Entropies of same-flag pairs differ by an integer multiple of
     log2 q, so the comparison is exact on the rank sums.
     """
-    return _covering_violations(all_subset_entropies(g, secret, rz))
+    return _covering_violations(all_subset_entropies(g, secret, rz), g.players)
 
 
-def _covering_violations(reports) -> list[MonotonicityViolation]:
-    """Same-flag covering pairs of `reports`, one per subset, out of order."""
+def _covering_violations(reports, players) -> list[MonotonicityViolation]:
+    """Same-flag covering pairs out of order; `reports` holds every subset of `players`."""
     by_subset = {r.subset: r for r in reports}
-    players = max(by_subset, key=len)
     violations = []
     for small in reports:
         for p in players:

@@ -316,3 +316,13 @@ def test_invariant_failure_is_a_one_line_error(capsys, tri_path, monkeypatch):
     code, out, err = run_cli(capsys, "profile", "--structure", tri_path)
     assert (code, out) == (2, "")
     assert err == "error: authorization must flip exactly once along a chain\n"
+
+
+@pytest.mark.parametrize("crash", [RecursionError, NotImplementedError])
+def test_runtime_error_crashes_are_not_verdicts(capsys, tri_path, monkeypatch, crash):
+    def broken(*args, **kwargs):
+        raise crash("not an invariant check")
+
+    monkeypatch.setattr(cli.entropy, "chain_profile", broken)
+    with pytest.raises(crash):
+        cli.main(["profile", "--structure", tri_path])
