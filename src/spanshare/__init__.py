@@ -49,13 +49,11 @@ from .msp import (
     to_css,
 )
 from .oracle import (
-    DensityMatrix,
     PureState,
     compare_with_formula,
     encode_secret,
     oracle_subset_entropy,
     reduced_entropy,
-    scheme_density,
     verify_secrecy_recoverability,
 )
 

@@ -167,7 +167,7 @@ def _verify_theorem(args, g, secret, emit, rz=None, label="OK") -> int:
 def _verify_oracle(args, g, secret, emit) -> int:
     rz = entropy.realize(g, args.q)
     d = rz.program.matrix.rows
-    if args.q**d > args.cap:
+    if oracle.exceeds_cap(args.q, d, args.cap):
         print(
             f"warning: q^d = {args.q}^{d} exceeds cap {args.cap}; "
             "running the rank formula only",

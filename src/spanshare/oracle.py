@@ -3,9 +3,12 @@
 The encoding map sends a basis secret s to the uniform superposition
 over the codewords M u whose secret coordinate is s. This module
 builds those states explicitly, reduces them onto share coordinates,
-and measures von Neumann entropies by eigendecomposition. It shares
-no code path with the rank formula, so agreement between the two is
-evidence, not tautology.
+and measures von Neumann entropies by eigendecomposition. Secrecy is
+decided by the trace distance between the per-secret reductions and
+recoverability by their overlap Tr(rho_s rho_t), which for positive
+operators is zero exactly when their supports are orthogonal. It
+shares no code path with the rank formula, so agreement between the
+two is evidence, not tautology.
 
 Basis convention: a codeword (y_1, ..., y_d) maps to the amplitude
 index sum(y_j * q^(d-j)), i.e. big-endian with coordinate 1 most
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -43,27 +47,6 @@ class PureState:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state is not normalized (norm {norm})")
         self.amplitudes.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian unit-trace operator on a subset of the coordinates."""
-
-    q: int
-    coords: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        side = self.q ** len(self.coords)
-        if self.matrix.shape != (side, side):
-            raise ValueError("density matrix has the wrong shape")
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=1e-10):
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(self.matrix).real - 1.0) > 1e-10:
-            raise ValueError("density matrix does not have unit trace")
-        if float(np.linalg.eigvalsh(self.matrix).min()) < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        self.matrix.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -97,10 +80,9 @@ def share_layout(msp: MonotoneSpanProgram) -> ShareLayout:
     return ShareLayout({p: tuple(sorted(cs)) for p, cs in coords.items()})
 
 
-def _check_cap(q: int, d: int, cap: int | None):
-    limit = DEFAULT_CAP if cap is None else cap
-    if q**d > limit:
-        raise ValueError(f"state of q^d = {q}^{d} amplitudes exceeds the cap {limit}")
+def exceeds_cap(q: int, d: int, cap: int) -> bool:
+    """True when a state vector of q^d amplitudes is over the cap."""
+    return q**d > cap
 
 
 def basis_index(codeword, q: int) -> int:
@@ -118,11 +100,12 @@ def basis_string(index: int, q: int, d: int) -> str:
     return "".join(reversed(digits))
 
 
-def encode_secret(msp: MonotoneSpanProgram, s: int, cap: int | None = None) -> PureState:
+def encode_secret(msp: MonotoneSpanProgram, s: int, cap: int = DEFAULT_CAP) -> PureState:
     """Equal superposition over the q^(e-1) codewords with secret s."""
     q = msp.field.q
     d, e = msp.matrix.rows, msp.matrix.cols
-    _check_cap(q, d, cap)
+    if exceeds_cap(q, d, cap):
+        raise ValueError(f"state of q^d = {q}^{d} amplitudes exceeds the cap {cap}")
     indices = sorted(basis_index(cw, q) for cw in encoding_image(msp, s))
     if len(indices) != q ** (e - 1):
         raise ValueError("encoding collides; the program is not in normal form")
@@ -156,39 +139,18 @@ def _reduce_pure(state: PureState, coords: tuple[int, ...]) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def _reduce_density(dm: DensityMatrix, coords: tuple[int, ...]) -> np.ndarray:
-    q = dm.q
-    own = list(dm.coords)
-    if not set(coords) <= set(own):
-        raise ValueError("can only reduce onto coordinates the operator acts on")
-    if not coords:
-        return np.ones((1, 1), dtype=complex)
-    k = len(own)
-    kept = [own.index(c) for c in coords]
-    traced = [i for i in range(k) if i not in set(kept)]
-    tensor = dm.matrix.reshape([q] * (2 * k))
-    perm = kept + traced + [k + i for i in kept] + [k + i for i in traced]
-    tensor = tensor.transpose(perm)
-    a, b = q ** len(kept), q ** len(traced)
-    tensor = tensor.reshape(a, b, a, b)
-    return np.einsum("ajbj->ab", tensor)
-
-
 def entropy_bits_of(matrix: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(matrix)
     eigs = eigs[eigs > EIG_CLIP]
     return float(-(eigs * np.log2(eigs)).sum())
 
 
-def reduced_entropy(obj: PureState | DensityMatrix, coords) -> float:
+def reduced_entropy(state: PureState, coords) -> float:
     """Entropy in bits of the reduction onto the given coordinates."""
-    coords = tuple(sorted(coords))
-    if isinstance(obj, PureState):
-        return entropy_bits_of(_reduce_pure(obj, coords))
-    return entropy_bits_of(_reduce_density(obj, coords))
+    return entropy_bits_of(_reduce_pure(state, tuple(sorted(coords))))
 
 
-def _encoded_states(rz: SchemeRealization, cap: int | None) -> list[PureState]:
+def _encoded_states(rz: SchemeRealization, cap: int) -> list[PureState]:
     states = [encode_secret(rz.program, s, cap) for s in range(rz.q)]
     supports = [set(np.nonzero(st.amplitudes)[0].tolist()) for st in states]
     for i in range(len(states)):
@@ -198,67 +160,45 @@ def _encoded_states(rz: SchemeRealization, cap: int | None) -> list[PureState]:
     return states
 
 
-def scheme_density(
-    rz: SchemeRealization, secret: SecretSpec, cap: int | None = None
-) -> DensityMatrix:
-    """Density matrix of the distributed scheme under the secret ensemble.
+def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
+    """Yield (subset, per-secret reductions) for each subset, by default all.
 
-    For purified realizations the hidden share's coordinates are traced
-    out, leaving the operator on the original players' coordinates.
+    The q encoded states and the share layout are built once per sweep.
+    For purified realizations the hidden share is never in a subset, so
+    its coordinates are always traced out.
     """
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
     states = _encoded_states(rz, cap)
-    d = rz.program.matrix.rows
-    rho = np.zeros((rz.q**d, rz.q**d), dtype=complex)
-    for p_s, st in zip(secret.distribution, states):
-        if p_s > 0:
-            rho += p_s * np.outer(st.amplitudes, st.amplitudes.conj())
-    dm = DensityMatrix(rz.q, tuple(range(1, d + 1)), rho)
-    if rz.hidden_player is None:
-        return dm
     layout = share_layout(rz.program)
-    visible = tuple(
-        c for c in range(1, d + 1) if c not in set(layout.coords[rz.hidden_player])
-    )
-    return DensityMatrix(rz.q, visible, _reduce_density(dm, visible))
+    for subset in subsets_in_order(rz.structure.players) if subsets is None else subsets:
+        coords = layout.of(subset)
+        yield subset, [_reduce_pure(st, coords) for st in states]
 
 
-def _subset_coords(rz: SchemeRealization, a) -> tuple[int, ...]:
-    a = tuple(sorted(set(a)))
-    if not set(a) <= set(rz.structure.players):
-        raise ValueError(f"subset {a} contains unknown players")
-    return share_layout(rz.program).of(a)
+def _mixture_entropy(reductions, secret: SecretSpec) -> float:
+    """Entropy of the secret-weighted mixture of per-secret reductions."""
+    rho = sum(p_s * red for p_s, red in zip(secret.distribution, reductions) if p_s > 0)
+    return entropy_bits_of(rho)
 
 
 def oracle_subset_entropy(
-    rz: SchemeRealization, secret: SecretSpec, a, cap: int | None = None
+    rz: SchemeRealization, secret: SecretSpec, a, cap: int = DEFAULT_CAP
 ) -> float:
     """Entropy in bits of the shares of `a` under the scheme density.
 
     Computed from per-secret pure-state reductions, which is the same
     operator as reducing the full mixture but never materializes it.
     """
-    if secret.q != rz.q:
-        raise ValueError("secret field does not match the program field")
-    coords = _subset_coords(rz, a)
-    if not coords:
-        return 0.0
-    return _mixture_entropy(_encoded_states(rz, cap), secret, coords)
+    a = tuple(sorted(set(a)))
+    if not set(a) <= set(rz.structure.players):
+        raise ValueError(f"subset {a} contains unknown players")
+    ((_, reductions),) = _sweep(rz, secret, cap, [a])
+    return _mixture_entropy(reductions, secret)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    sqrt_rho = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    inner_vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sqrt(inner_vals).sum() ** 2)
 
 
 @dataclass(frozen=True)
@@ -266,10 +206,12 @@ class SecrecyReport:
     """Outcome of the perfect secrecy / perfect recoverability sweep.
 
     Secrecy: every unauthorized reduction is the same state for every
-    secret value. Recoverability: authorized reductions of distinct
-    secrets have orthogonal supports. Only classical (basis-diagonal)
-    secret ensembles are swept; coherent secret states are outside
-    this oracle's remit.
+    secret value; a violation is (subset, s, t, trace distance).
+    Recoverability: authorized reductions of distinct secrets have zero
+    overlap Tr(rho_s rho_t), i.e. orthogonal supports; a violation is
+    (subset, s, t, overlap). Only classical (basis-diagonal) secret
+    ensembles are swept; coherent secret states are outside this
+    oracle's remit.
     """
 
     subsets_checked: int
@@ -281,32 +223,26 @@ class SecrecyReport:
 
 
 def verify_secrecy_recoverability(
-    rz: SchemeRealization, secret: SecretSpec, cap: int | None = None
+    rz: SchemeRealization, secret: SecretSpec, cap: int = DEFAULT_CAP
 ) -> SecrecyReport:
     """Sweep every subset of the original players for both guarantees."""
-    if secret.q != rz.q:
-        raise ValueError("secret field does not match the program field")
     if any(p <= 0 for p in secret.distribution):
         raise ValueError("secrecy sweep needs a full-support secret distribution")
-    states = _encoded_states(rz, cap)
     secrecy = []
     recoverability = []
     checked = 0
-    for subset in subsets_in_order(rz.structure.players):
-        coords = _subset_coords(rz, subset)
-        reductions = [_reduce_pure(st, coords) for st in states]
+    for subset, reductions in _sweep(rz, secret, cap):
         checked += 1
         authorized = is_authorized(rz.structure, subset)
-        for s in range(rz.q):
-            for t in range(s + 1, rz.q):
-                if authorized:
-                    f = fidelity(reductions[s], reductions[t])
-                    if f >= 1e-9:
-                        recoverability.append((subset, s, t, f))
-                else:
-                    td = trace_distance(reductions[s], reductions[t])
-                    if td >= 1e-9:
-                        secrecy.append((subset, s, t, td))
+        for s, t in combinations(range(rz.q), 2):
+            if authorized:
+                overlap = float(np.vdot(reductions[t], reductions[s]).real)
+                if overlap >= 1e-9:
+                    recoverability.append((subset, s, t, overlap))
+            else:
+                td = trace_distance(reductions[s], reductions[t])
+                if td >= 1e-9:
+                    secrecy.append((subset, s, t, td))
     return SecrecyReport(checked, tuple(secrecy), tuple(recoverability))
 
 
@@ -321,30 +257,17 @@ class FormulaDiscrepancy:
         return abs(self.formula_bits - self.oracle_bits)
 
 
-def _mixture_entropy(states, secret: SecretSpec, coords: tuple[int, ...]) -> float:
-    if not coords:
-        return 0.0
-    q = states[0].q
-    side = q ** len(coords)
-    rho = np.zeros((side, side), dtype=complex)
-    for p_s, st in zip(secret.distribution, states):
-        if p_s > 0:
-            rho += p_s * _reduce_pure(st, coords)
-    return entropy_bits_of(rho)
-
-
 def compare_with_formula(
     rz: SchemeRealization,
     secret: SecretSpec,
-    cap: int | None = None,
+    cap: int = DEFAULT_CAP,
     tolerance: float = 1e-6,
 ) -> list[FormulaDiscrepancy]:
     """Check the rank formula against the simulation on every subset."""
-    states = _encoded_states(rz, cap)
     out = []
-    for subset in subsets_in_order(rz.structure.players):
+    for subset, reductions in _sweep(rz, secret, cap):
         formula = subset_report(rz, secret, subset).entropy_bits
-        simulated = _mixture_entropy(states, secret, _subset_coords(rz, subset))
+        simulated = _mixture_entropy(reductions, secret)
         if abs(formula - simulated) > tolerance:
             out.append(FormulaDiscrepancy(subset, formula, simulated))
     return out

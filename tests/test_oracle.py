@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from spanshare.access import from_minimal_sets
-from spanshare.entropy import SecretSpec, realize, subset_report
+from spanshare.entropy import SchemeRealization, SecretSpec, realize, subset_report
 from spanshare.msp import build_normal_form, to_css
 from spanshare.oracle import (
-    DensityMatrix,
     PureState,
     basis_index,
     basis_string,
@@ -18,7 +17,6 @@ from spanshare.oracle import (
     encode_secret,
     oracle_subset_entropy,
     reduced_entropy,
-    scheme_density,
     share_layout,
     trace_distance,
     verify_secrecy_recoverability,
@@ -106,14 +104,6 @@ def test_pure_state_normalization_enforced():
         PureState(2, 1, np.array([1.0, 1.0], dtype=complex))
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(2, (1,), np.array([[0.5, 0.5j], [0.5j, 0.5]]))
-    with pytest.raises(ValueError):
-        DensityMatrix(2, (1,), np.eye(2, dtype=complex))  # trace 2
-    DensityMatrix(2, (1,), np.eye(2, dtype=complex) / 2)
-
-
 def test_share_layout_triangle(triangle_rz):
     layout = share_layout(triangle_rz.program)
     assert layout.coords == {1: (1, 6), 2: (2, 3), 3: (4, 5)}
@@ -137,27 +127,6 @@ def test_reduced_entropy_player_one_share(triangle_rz):
     coords = share_layout(triangle_rz.program).coords[1]
     assert coords == (1, 6)
     assert abs(reduced_entropy(state, coords) - 2.0) < 1e-10
-
-
-def test_scheme_density_triangle_rank_two(triangle_rz, uniform2):
-    dm = scheme_density(triangle_rz, uniform2)
-    eigs = np.linalg.eigvalsh(dm.matrix)
-    assert (eigs > 1e-10).sum() == 2
-    assert np.allclose(eigs[eigs > 1e-10], 0.5, atol=1e-12)
-
-
-def test_scheme_density_point_secret_is_pure(triangle_rz):
-    dm = scheme_density(triangle_rz, SecretSpec.point(2, 0))
-    eigs = np.linalg.eigvalsh(dm.matrix)
-    assert (eigs > 1e-10).sum() == 1
-
-
-def test_scheme_density_traces_out_hidden_share(fan_rz, uniform2):
-    dm = scheme_density(fan_rz, uniform2)
-    hidden_coords = set(share_layout(fan_rz.program).coords[4])
-    assert set(dm.coords) == set(range(1, 10)) - hidden_coords
-    eigs = np.linalg.eigvalsh(dm.matrix)
-    assert (eigs > 1e-10).sum() > 1  # a genuinely mixed state
 
 
 def test_oracle_entropies_triangle(triangle_rz, uniform2):
@@ -200,6 +169,21 @@ def test_secrecy_single_player_scheme(uniform2):
     assert report.ok()
 
 
+def test_secrecy_sweep_reports_both_failures(triangle_rz, uniform2):
+    # The triangle's program paired with a structure it does not realize:
+    # player 1 alone is claimed authorized, and {2, 3} unauthorized.
+    wrong = SchemeRealization(
+        from_minimal_sets(3, [[1]]), triangle_rz.program, triangle_rz.layout, None
+    )
+    report = verify_secrecy_recoverability(wrong, uniform2)
+    assert not report.ok()
+    assert report.subsets_checked == 8
+    assert [v[:3] for v in report.secrecy_violations] == [((2, 3), 0, 1)]
+    assert [v[:3] for v in report.recoverability_violations] == [((1,), 0, 1)]
+    assert report.secrecy_violations[0][3] >= 1e-9
+    assert report.recoverability_violations[0][3] >= 1e-9
+
+
 def test_secrecy_requires_full_support(triangle_rz):
     with pytest.raises(ValueError):
         verify_secrecy_recoverability(triangle_rz, SecretSpec.point(2, 0))
@@ -216,12 +200,11 @@ def test_unauthorized_reduction_is_maximally_mixed(triangle_rz):
 
 
 def test_authorized_reductions_have_orthogonal_supports(triangle_rz):
-    from spanshare.oracle import _reduce_pure, fidelity
+    from spanshare.oracle import _reduce_pure
 
     coords = share_layout(triangle_rz.program).of((2, 3))
     red0 = _reduce_pure(encode_secret(triangle_rz.program, 0), coords)
     red1 = _reduce_pure(encode_secret(triangle_rz.program, 1), coords)
-    assert fidelity(red0, red1) < 1e-12
     assert abs(np.trace(red0 @ red1)) < 1e-12
 
 
