@@ -15,7 +15,7 @@ from itertools import combinations
 Subset = tuple[int, ...]
 
 # Structure-level operations enumerate all 2^n subsets; this guards
-# against runaway loops and can be raised by callers who mean it.
+# against runaway loops; callers who mean it can raise the module value.
 ENUMERATION_CAP = 20
 
 
@@ -43,10 +43,9 @@ def _canon_key(s: Subset):
     return (len(s), s)
 
 
-def _check_cap(n: int, cap: int | None = None):
-    limit = ENUMERATION_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(f"refusing 2^{n} subset enumeration (cap {limit})")
+def _check_cap(n: int):
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"refusing 2^{n} subset enumeration (cap {ENUMERATION_CAP})")
 
 
 def subsets_in_order(players):
@@ -177,9 +176,9 @@ def _minimal_sets_of(n: int, authorized) -> tuple[Subset, ...]:
     return tuple(sorted((_members(m) for m in mins), key=_canon_key))
 
 
-def dual(g: AccessStructure, cap: int | None = None) -> AccessStructure:
+def dual(g: AccessStructure) -> AccessStructure:
     """The structure authorizing exactly the complements of unauthorized sets."""
-    _check_cap(g.n, cap)
+    _check_cap(g.n)
     mm = g.minimal_masks()
     full = (1 << g.n) - 1
     sets = _minimal_sets_of(g.n, lambda m: not _authorized_mask(mm, full & ~m))
@@ -210,14 +209,14 @@ def is_connected(g: AccessStructure) -> bool:
     return covered == (1 << g.n) - 1
 
 
-def classify(g: AccessStructure, cap: int | None = None) -> StructureClassification:
+def classify(g: AccessStructure) -> StructureClassification:
     """Self-duality, quantum realizability and connectedness flags."""
     realizable = is_realizable(g)
-    self_dual = realizable and dual(g, cap).minimal_sets == g.minimal_sets
+    self_dual = realizable and dual(g).minimal_sets == g.minimal_sets
     return StructureClassification(self_dual, realizable, is_connected(g))
 
 
-def purify(g: AccessStructure, cap: int | None = None) -> AccessStructure:
+def purify(g: AccessStructure) -> AccessStructure:
     """Extend to a self-dual structure on one extra player.
 
     On players 1..n+1, a set A is authorized iff its restriction to the
@@ -229,7 +228,7 @@ def purify(g: AccessStructure, cap: int | None = None) -> AccessStructure:
     if not is_realizable(g):
         raise ValueError("structure admits two disjoint authorized sets; not realizable")
     n1 = g.n + 1
-    _check_cap(n1, cap)
+    _check_cap(n1)
     mm = g.minimal_masks()
     original = (1 << g.n) - 1
     extra = 1 << g.n
@@ -240,7 +239,7 @@ def purify(g: AccessStructure, cap: int | None = None) -> AccessStructure:
         return bool(m & extra) and not _authorized_mask(mm, original & ~m)
 
     result = AccessStructure(n1, _minimal_sets_of(n1, authorized))
-    if not classify(result, cap).self_dual:
+    if not classify(result).self_dual:
         raise RuntimeError("purification produced a non-self-dual structure")
     for m in range(1 << g.n):
         if _authorized_mask(result.minimal_masks(), m) != _authorized_mask(mm, m):
@@ -248,13 +247,13 @@ def purify(g: AccessStructure, cap: int | None = None) -> AccessStructure:
     return result
 
 
-def maximal_unauthorized(g: AccessStructure, cap: int | None = None) -> list[Subset]:
+def maximal_unauthorized(g: AccessStructure) -> list[Subset]:
     """Unauthorized sets whose every proper superset is authorized.
 
     They are the complements of the dual's minimal authorized sets.
     """
     full = (1 << g.n) - 1
-    complements = (full & ~m for m in dual(g, cap).minimal_masks())
+    complements = (full & ~m for m in dual(g).minimal_masks())
     return sorted((_members(m) for m in complements), key=_canon_key)
 
 

@@ -12,9 +12,9 @@ counted from the block layout, with no elimination: for a player set S,
 
     rank(M_S) = sum_i |A_i & S| - max(0, K(S) - 1),
 
-with A_i the minimal sets and K(S) the number of them inside S, and
-m = e because the build checks full column rank (see
-`NormalFormLayout.rank_of`). Exact elimination over F_q is the
+with A_i the minimal sets and K(S) the number of them inside S (see
+`NormalFormLayout.rank_of`). For S the full player set every block is
+inside, so m = d - (k - 1) = e. Exact elimination over F_q is the
 reference the tests hold the count to. Structures that are not
 self-dual are first extended by one purification player; the extra
 share is kept out of every queried subset but participates in the
@@ -51,8 +51,9 @@ class SecretSpec:
             raise ValueError(f"field size must be at least 2, got {self.q}")
         if len(self.distribution) != self.q:
             raise ValueError("need one probability per field element")
-        if any(p < 0 for p in self.distribution):
-            raise ValueError("probabilities must be nonnegative")
+        # NaN compares false both ways, so `p < 0` and the sum check let it through.
+        if not all(math.isfinite(p) and p >= 0 for p in self.distribution):
+            raise ValueError("probabilities must be finite and nonnegative")
         if abs(sum(self.distribution) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
 
@@ -141,7 +142,7 @@ def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport
     complement = set(rz.full_players) - set(a)
     a_rk = rz.layout.rank_of(a)
     b_rk = rz.layout.rank_of(complement)
-    m_rk = rz.layout.e  # build_normal_form checked that M has full column rank
+    m_rk = rz.layout.e  # rank_of(full_players) = d - (k - 1) = e
     authorized = is_authorized(rz.structure, a)
     bits = (a_rk + b_rk - m_rk) * math.log2(rz.q)
     if authorized:

@@ -49,37 +49,6 @@ class PureState:
         self.amplitudes.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ShareLayout:
-    """Which codeword coordinates (1-based) each player holds."""
-
-    coords: dict[int, tuple[int, ...]]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for player, cs in self.coords.items():
-            if not cs:
-                raise ValueError(f"player {player} holds no coordinates")
-            if seen & set(cs):
-                raise ValueError("coordinate assigned to two players")
-            seen |= set(cs)
-        if seen != set(range(1, len(seen) + 1)):
-            raise ValueError("coordinates must partition 1..d")
-
-    def of(self, players) -> tuple[int, ...]:
-        out: list[int] = []
-        for p in players:
-            out.extend(self.coords[p])
-        return tuple(sorted(out))
-
-
-def share_layout(msp: MonotoneSpanProgram) -> ShareLayout:
-    coords: dict[int, list[int]] = {}
-    for i, player in enumerate(msp.psi):
-        coords.setdefault(player, []).append(i + 1)
-    return ShareLayout({p: tuple(sorted(cs)) for p, cs in coords.items()})
-
-
 def exceeds_cap(q: int, d: int, cap: int) -> bool:
     """True when a state vector of q^d amplitudes is over the cap."""
     return q**d > cap
@@ -163,16 +132,16 @@ def _encoded_states(rz: SchemeRealization, cap: int) -> list[PureState]:
 def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
     """Yield (subset, per-secret reductions) for each subset, by default all.
 
-    The q encoded states and the share layout are built once per sweep.
-    For purified realizations the hidden share is never in a subset, so
-    its coordinates are always traced out.
+    The q encoded states are built once per sweep. A player holds the
+    coordinates of its rows (coordinate = row + 1). For purified
+    realizations the hidden share is never in a subset, so its
+    coordinates are always traced out.
     """
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
     states = _encoded_states(rz, cap)
-    layout = share_layout(rz.program)
     for subset in subsets_in_order(rz.structure.players) if subsets is None else subsets:
-        coords = layout.of(subset)
+        coords = tuple(i + 1 for i in rz.program.rows_of(subset))
         yield subset, [_reduce_pure(st, coords) for st in states]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from spanshare import access
 from spanshare.access import (
     AccessStructure,
     classify,
@@ -219,14 +220,15 @@ def test_json_rejects_malformed():
         structure_from_json('{"n": 3}')
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     big = AccessStructure(25, ((1,),))
     with pytest.raises(ValueError):
         dual(big)
-    # explicit caps override the default
+    # the module-level cap is the one knob
     small = from_minimal_sets(3, [[1, 2]])
+    monkeypatch.setattr(access, "ENUMERATION_CAP", 2)
     with pytest.raises(ValueError):
-        dual(small, cap=2)
+        dual(small)
 
 
 def test_json_rejects_non_integers():

@@ -284,6 +284,21 @@ def test_non_integer_structure_is_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, secret",
+    [
+        (["entropy", "--set", "1,2"], "nan,nan"),
+        (["verify-theorem"], "nan,0.5"),
+        (["verify-oracle"], "nan,nan"),
+    ],
+    ids=["entropy", "verify-theorem", "verify-oracle"],
+)
+def test_nan_secret_is_input_error(capsys, tri_path, command, secret):
+    code, out, err = run_cli(capsys, *command, "--structure", tri_path, "--secret", secret)
+    assert_one_line_error(code, out, err)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
     "subset, q, expected",
     [
         ("1,3,5,7,9", "2", "126.000000 bits (a=350,b=280,m=505, authorized)\n"),

@@ -1,5 +1,6 @@
 """Rank-formula entropies, monotonicity sweeps, and tent profiles."""
 
+import itertools
 import math
 
 import pytest
@@ -31,6 +32,13 @@ def test_secret_spec_validation():
         SecretSpec(2, (1.2, -0.2))
     with pytest.raises(ValueError):
         SecretSpec(3, (0.5, 0.5))
+
+
+def test_secret_spec_rejects_non_finite_probabilities():
+    nan, inf = float("nan"), float("inf")
+    for dist in ((nan, nan), (nan, 0.5), (inf, -inf), (inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SecretSpec(2, dist)
 
 
 def test_secret_entropy_values():
@@ -251,9 +259,9 @@ def test_realize_enumerates_the_dual_once_pure_twice_purified(monkeypatch, trian
     calls = []
     original = access.dual
 
-    def counting_dual(g, cap=None):
+    def counting_dual(g):
         calls.append(g)
-        return original(g, cap)
+        return original(g)
 
     monkeypatch.setattr(access, "dual", counting_dual)
     realize(triangle, 2)
@@ -264,25 +272,38 @@ def test_realize_enumerates_the_dual_once_pure_twice_purified(monkeypatch, trian
 
 
 def test_rank_total_is_the_rank_of_the_whole_matrix():
-    """subset_report takes m = e from the layout; elimination must agree."""
+    """subset_report takes m = e from the layout; elimination must agree.
+
+    Checked on the benchmark's threshold sizes k-of-(2k-1), up to the
+    630 x 505 matrix of 5-of-9. With k >= 2 blocks the matrix has k - 1
+    spare rows, so a lost row can leave rank(M) = e; the odd-player
+    subset's a and b are held to elimination as well.
+    """
     from spanshare.fields import rank
 
-    for n in range(1, 5):
-        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
-            for q in (2, 3):
-                rz = realize(g, q)
-                m = rank(rz.program.matrix)
-                for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
-                    assert report.rank_total == m
+    for k in (3, 4, 5):
+        n = 2 * k - 1
+        g = from_minimal_sets(n, [list(c) for c in itertools.combinations(range(1, n + 1), k)])
+        odd, even = tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2))
+        for q in (2, 3, 5):
+            rz = realize(g, q)
+            assert rank(rz.program.matrix) == rz.layout.e
+            report = subset_report(rz, SecretSpec.uniform(q), odd)
+            assert report.rank_total == rz.layout.e
+            assert report.rank_subset == rank(rz.program.submatrix(odd))
+            assert report.rank_complement == rank(rz.program.submatrix(even))
 
 
 def _assert_ranks_match_elimination(g, q):
-    """a and b of every report equal exact elimination's ranks."""
+    """m once, and a and b of every report, equal exact elimination's ranks."""
     from spanshare.fields import rank
 
     rz = realize(g, q)
+    m = rank(rz.program.matrix)
+    assert m == rz.layout.e
     for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
         complement = set(rz.full_players) - set(report.subset)
+        assert report.rank_total == m
         assert report.rank_subset == rank(rz.program.submatrix(report.subset))
         assert report.rank_complement == rank(rz.program.submatrix(complement))
 
@@ -328,8 +349,8 @@ def test_subset_report_runs_no_elimination(monkeypatch, triangle, fan, star4):
     def refuse(*args, **kwargs):
         raise AssertionError("elimination ran")
 
-    realizations = [(g, realize(g, 2)) for g in (triangle, fan, star4)]
     monkeypatch.setattr(fields, "_rref", refuse)
+    realizations = [(g, realize(g, 2)) for g in (triangle, fan, star4)]
     secret = SecretSpec.uniform(2)
     for g, rz in realizations:
         assert len(all_subset_entropies(g, secret, rz)) == 2**g.n

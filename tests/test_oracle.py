@@ -17,7 +17,6 @@ from spanshare.oracle import (
     encode_secret,
     oracle_subset_entropy,
     reduced_entropy,
-    share_layout,
     trace_distance,
     verify_secrecy_recoverability,
 )
@@ -32,6 +31,11 @@ TRIANGLE_COSET_0 = {
 TRIANGLE_COSET_1 = {
     "101010", "011010", "100110", "101001", "010110", "011001", "100101", "010101",
 }
+
+
+def coords_of(program, players):
+    """The codeword coordinates (1-based) held by `players`: their rows, plus one."""
+    return tuple(i + 1 for i in program.rows_of(players))
 
 
 def state_support(state):
@@ -105,8 +109,8 @@ def test_pure_state_normalization_enforced():
 
 
 def test_share_layout_triangle(triangle_rz):
-    layout = share_layout(triangle_rz.program)
-    assert layout.coords == {1: (1, 6), 2: (2, 3), 3: (4, 5)}
+    coords = {p: coords_of(triangle_rz.program, [p]) for p in (1, 2, 3)}
+    assert coords == {1: (1, 6), 2: (2, 3), 3: (4, 5)}
 
 
 def test_reduced_entropy_product_state():
@@ -124,7 +128,7 @@ def test_reduced_entropy_bell_pair():
 
 def test_reduced_entropy_player_one_share(triangle_rz):
     state = encode_secret(triangle_rz.program, 0)
-    coords = share_layout(triangle_rz.program).coords[1]
+    coords = coords_of(triangle_rz.program, [1])
     assert coords == (1, 6)
     assert abs(reduced_entropy(state, coords) - 2.0) < 1e-10
 
@@ -192,7 +196,7 @@ def test_secrecy_requires_full_support(triangle_rz):
 def test_unauthorized_reduction_is_maximally_mixed(triangle_rz):
     from spanshare.oracle import _reduce_pure
 
-    coords = share_layout(triangle_rz.program).coords[1]
+    coords = coords_of(triangle_rz.program, [1])
     red0 = _reduce_pure(encode_secret(triangle_rz.program, 0), coords)
     red1 = _reduce_pure(encode_secret(triangle_rz.program, 1), coords)
     assert trace_distance(red0, red1) < 1e-12
@@ -202,7 +206,7 @@ def test_unauthorized_reduction_is_maximally_mixed(triangle_rz):
 def test_authorized_reductions_have_orthogonal_supports(triangle_rz):
     from spanshare.oracle import _reduce_pure
 
-    coords = share_layout(triangle_rz.program).of((2, 3))
+    coords = coords_of(triangle_rz.program, (2, 3))
     red0 = _reduce_pure(encode_secret(triangle_rz.program, 0), coords)
     red1 = _reduce_pure(encode_secret(triangle_rz.program, 1), coords)
     assert abs(np.trace(red0 @ red1)) < 1e-12
@@ -215,23 +219,22 @@ def test_flat_spectra(triangle_rz, star4_rz):
     from spanshare.oracle import _reduce_pure
 
     for rz in (triangle_rz, star4_rz):
-        layout = share_layout(rz.program)
         for s in range(rz.q):
             state = encode_secret(rz.program, s)
             for subset in subsets_in_order(rz.structure.players):
-                coords = layout.of(subset)
+                coords = coords_of(rz.program, subset)
                 eigs = np.linalg.eigvalsh(_reduce_pure(state, coords))
                 nonzero = eigs[eigs > 1e-10]
                 assert np.allclose(nonzero, nonzero[0], atol=1e-8)
 
 
 def test_entropy_range(triangle_rz, uniform2):
-    layout = share_layout(triangle_rz.program)
     from spanshare.access import subsets_in_order
 
     for subset in subsets_in_order(triangle_rz.structure.players):
         bits = oracle_subset_entropy(triangle_rz, uniform2, subset)
-        assert -1e-12 <= bits <= len(layout.of(subset)) * math.log2(2) + 1e-12
+        held = len(coords_of(triangle_rz.program, subset))
+        assert -1e-12 <= bits <= held * math.log2(2) + 1e-12
 
 
 def test_simulation_cap(triangle_rz, uniform2):
