@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+
+import numpy as np
 
 Subset = tuple[int, ...]
 
@@ -104,6 +107,11 @@ class AccessStructure:
     def minimal_masks(self) -> list[int]:
         return [_mask(s, self.n) for s in self.minimal_sets]
 
+    @cached_property
+    def authorized_table(self) -> np.ndarray:
+        """auth[S] for all 2^n masks S: whether S contains a minimal set."""
+        return inside_counts(self.n, self.minimal_masks()) > 0
+
 
 def from_minimal_sets(n: int, sets) -> AccessStructure:
     """Build a structure, dropping supersets and canonicalizing.
@@ -158,31 +166,37 @@ def structure_to_json(g: AccessStructure) -> str:
 
 def is_authorized(g: AccessStructure, a) -> bool:
     """True iff `a` contains some minimal authorized set."""
-    return _authorized_mask(g.minimal_masks(), _mask(a, g.n))
+    m = _mask(a, g.n)
+    return any(m & ms == ms for ms in g.minimal_masks())
 
 
-def _authorized_mask(minimal_masks: list[int], m: int) -> bool:
-    return any(m & ms == ms for ms in minimal_masks)
+def inside_counts(n: int, masks) -> np.ndarray:
+    """K[S], the number of `masks` inside S, for all 2^n masks S.
+
+    The subset-sum (zeta) transform: pass b adds K[S without b] to
+    K[S] for every S holding bit b, n vectorized passes in all.
+    """
+    _check_cap(n)
+    counts = np.bincount(np.asarray(masks, dtype=np.int64), minlength=1 << n)
+    for b in range(n):
+        halves = counts.reshape(-1, 2, 1 << b)
+        halves[:, 1] += halves[:, 0]
+    return counts
 
 
-def _minimal_sets_of(n: int, authorized) -> tuple[Subset, ...]:
-    """Minimal elements of a monotone family given as a mask predicate."""
-    mins = []
-    for m in range(1, 1 << n):
-        if not authorized(m):
-            continue
-        if all(not authorized(m & ~(1 << b)) for b in range(n) if m >> b & 1):
-            mins.append(m)
-    return tuple(sorted((_members(m) for m in mins), key=_canon_key))
+def _minimal_sets_of(n: int, table: np.ndarray) -> tuple[Subset, ...]:
+    """Minimal elements of a monotone family given as a table over all 2^n masks."""
+    minimal = table.copy()
+    for b in range(n):
+        # S holding bit b is minimal only if S without b is outside the family.
+        minimal.reshape(-1, 2, 1 << b)[:, 1] &= ~table.reshape(-1, 2, 1 << b)[:, 0]
+    return tuple(sorted(map(_members, np.flatnonzero(minimal).tolist()), key=_canon_key))
 
 
 def dual(g: AccessStructure) -> AccessStructure:
     """The structure authorizing exactly the complements of unauthorized sets."""
-    _check_cap(g.n)
-    mm = g.minimal_masks()
-    full = (1 << g.n) - 1
-    sets = _minimal_sets_of(g.n, lambda m: not _authorized_mask(mm, full & ~m))
-    return AccessStructure(g.n, sets)
+    # Reversing the table maps S to full ^ S, its complement.
+    return AccessStructure(g.n, _minimal_sets_of(g.n, ~g.authorized_table[::-1]))
 
 
 @dataclass(frozen=True)
@@ -206,7 +220,7 @@ def is_connected(g: AccessStructure) -> bool:
     covered = 0
     for m in g.minimal_masks():
         covered |= m
-    return covered == (1 << g.n) - 1
+    return covered.bit_count() == g.n
 
 
 def classify(g: AccessStructure) -> StructureClassification:
@@ -229,21 +243,12 @@ def purify(g: AccessStructure) -> AccessStructure:
         raise ValueError("structure admits two disjoint authorized sets; not realizable")
     n1 = g.n + 1
     _check_cap(n1)
-    mm = g.minimal_masks()
-    original = (1 << g.n) - 1
-    extra = 1 << g.n
-
-    def authorized(m: int) -> bool:
-        if _authorized_mask(mm, m & original):
-            return True
-        return bool(m & extra) and not _authorized_mask(mm, original & ~m)
-
-    result = AccessStructure(n1, _minimal_sets_of(n1, authorized))
+    auth = g.authorized_table  # auth[::-1] is auth at the complement
+    result = AccessStructure(n1, _minimal_sets_of(n1, np.concatenate((auth, auth | ~auth[::-1]))))
     if not classify(result).self_dual:
         raise RuntimeError("purification produced a non-self-dual structure")
-    for m in range(1 << g.n):
-        if _authorized_mask(result.minimal_masks(), m) != _authorized_mask(mm, m):
-            raise RuntimeError("purification does not restrict to the original structure")
+    if not np.array_equal(result.authorized_table[: 1 << g.n], auth):
+        raise RuntimeError("purification does not restrict to the original structure")
     return result
 
 

@@ -12,10 +12,12 @@ counted from the block layout, with no elimination: for a player set S,
 
     rank(M_S) = sum_i |A_i & S| - max(0, K(S) - 1),
 
-with A_i the minimal sets and K(S) the number of them inside S (see
-`NormalFormLayout.rank_of`). For S the full player set every block is
-inside, so m = d - (k - 1) = e. Exact elimination over F_q is the
-reference the tests hold the count to. Structures that are not
+with A_i the minimal sets and K(S) the number of them inside S.
+`NormalFormLayout.rank_table` holds K and this rank for all 2^n player
+sets, so each subset's entropy is two lookups, and A is authorized iff
+K(A) > 0. For S the full player set every block is inside, so
+m = d - (k - 1) = e. Exact elimination over F_q is the reference the
+tests hold the table to. Structures that are not
 self-dual are first extended by one purification player; the extra
 share is kept out of every queried subset but participates in the
 complement ranks.
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import access
-from .access import (
-    AccessStructure,
-    Subset,
-    classify,
-    is_authorized,
-    purify,
-    subsets_in_order,
-)
+from .access import AccessStructure, Subset, classify, purify, subsets_in_order
 from .msp import MonotoneSpanProgram, NormalFormLayout, build_normal_form
 
 
@@ -139,11 +134,12 @@ def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport
     original = set(rz.structure.players)
     if not set(a) <= original:
         raise ValueError(f"subset {a} contains unknown players")
-    complement = set(rz.full_players) - set(a)
-    a_rk = rz.layout.rank_of(a)
-    b_rk = rz.layout.rank_of(complement)
-    m_rk = rz.layout.e  # rank_of(full_players) = d - (k - 1) = e
-    authorized = is_authorized(rz.structure, a)
+    counts, rank = rz.layout.rank_table
+    s = access._mask(a, rz.structure.n)
+    complement = ((1 << len(rz.full_players)) - 1) ^ s
+    a_rk, b_rk = int(rank[s]), int(rank[complement])
+    m_rk = rz.layout.e  # rank of the full player set: d - (k - 1) = e
+    authorized = bool(counts[s])
     bits = (a_rk + b_rk - m_rk) * math.log2(rz.q)
     if authorized:
         bits += secret.entropy_bits

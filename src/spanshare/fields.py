@@ -41,11 +41,6 @@ class PrimeField:
     def canon(self, x: int) -> int:
         return x % self.q
 
-    def inv(self, x: int) -> int:
-        if x % self.q == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(x, self.q - 2, self.q)
-
 
 @dataclass(frozen=True)
 class FieldMatrix:
@@ -69,7 +64,11 @@ class FieldMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix")
-            canon.append(tuple(x % q for x in row))
+            # C-level min/max keep a canonical tuple row without copying it.
+            if type(row) is tuple and (not row or 0 <= min(row) and max(row) < q):
+                canon.append(row)
+            else:
+                canon.append(tuple(x % q for x in row))
         object.__setattr__(self, "entries", tuple(canon))
 
     @property

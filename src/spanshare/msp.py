@@ -12,12 +12,15 @@ closing row with the last, both in presentation order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .access import AccessStructure, Subset, from_minimal_sets, is_authorized
-from .access import is_connected, is_realizable, subsets_in_order
+import numpy as np
+
+from .access import AccessStructure, Subset, _mask, from_minimal_sets, inside_counts
+from .access import is_authorized, is_connected, is_realizable, subsets_in_order
 from .fields import (
     FieldMatrix,
     PrimeField,
@@ -92,35 +95,30 @@ class NormalFormLayout:
         return self.c + 1
 
     @cached_property
-    def _block_masks(self) -> tuple[int, ...]:
-        """Per block, its minimal set as a bitmask with bit p for player p."""
-        return tuple(sum(1 << p for p in a_i) for a_i in self.minimal_set_order)
+    def rank_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, rank) for every player mask S (bit p - 1 for player p).
 
-    def rank_of(self, players) -> int:
-        """rank(M_S) for the rows of the player set S, counted from the blocks.
-
-        Block i gives one row per member of A_i in S. The rows of a block
-        wholly inside S sum to the secret column, so the K(S) full blocks
-        are tied together through that one shared column and lose
-        K(S) - 1 dimensions. The rows of a block missing a member enter
-        no dependence: the identity rows are unit vectors, and the
-        closing row, if present, has a band column (the missing
-        member's) that no other row of S covers. Hence
+        K[S] counts the minimal sets A_i inside S, and rank[S] is
+        rank(M_S) for the rows of S. Block i gives one row per member of
+        A_i in S. The rows of a block wholly inside S sum to the secret
+        column, so the K[S] full blocks are tied together through that
+        one shared column and lose K[S] - 1 dimensions. The rows of a
+        block missing a member enter no dependence: the identity rows
+        are unit vectors, and the closing row, if present, has a band
+        column (the missing member's) that no other row of S covers.
+        Hence
 
             rank(M_S) = sum_i |A_i & S| - max(0, K(S) - 1),
 
-        at O(k) integer operations. Exact for the matrix that
-        `build_normal_form` lays out this way.
+        exact for the matrix that `build_normal_form` lays out this way.
+        Both tables take O(n 2^n) numpy operations.
         """
-        s = 0
-        for p in players:
-            s |= 1 << p
-        rows = full = 0
-        for mask in self._block_masks:
-            hit = mask & s
-            rows += hit.bit_count()
-            full += hit == mask
-        return rows - max(0, full - 1)
+        n = max(max(a_i) for a_i in self.minimal_set_order)
+        counts = inside_counts(n, [_mask(a_i, n) for a_i in self.minimal_set_order])
+        rows = np.zeros(1 << n, dtype=np.int64)
+        for p, degree in Counter(p for a_i in self.minimal_set_order for p in a_i).items():
+            rows.reshape(-1, 2, 1 << (p - 1))[:, 1] += degree
+        return counts, rows - np.maximum(0, counts - 1)
 
     def block_of_row(self, row: int) -> int | None:
         for i, (lo, hi) in enumerate(self.row_blocks):

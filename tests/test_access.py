@@ -1,6 +1,8 @@
 """Access-structure combinatorics, checked against subset enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanshare import access
 from spanshare.access import (
@@ -229,6 +231,29 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(access, "ENUMERATION_CAP", 2)
     with pytest.raises(ValueError):
         dual(small)
+
+
+def test_dual_and_maximal_unauthorized_match_brute_force():
+    for n in range(1, 5):
+        for g in enumerate_structures(n):
+            sets = g.minimal_sets
+            assert dual(g).minimal_sets == tuple(brute_dual_minimal_sets(n, sets))
+            maximal = [
+                b
+                for b in all_subsets(n)
+                if not brute_authorized(sets, b)
+                and all(brute_authorized(sets, set(b) | {p}) for p in g.players if p not in b)
+            ]
+            assert maximal_unauthorized(g) == sorted(maximal, key=lambda s: (len(s), s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inside_counts_match_a_direct_count(data):
+    n = data.draw(st.integers(0, 8))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    counts = access.inside_counts(n, masks)
+    assert counts.tolist() == [sum(m & s == m for m in masks) for s in range(1 << n)]
 
 
 def test_json_rejects_non_integers():

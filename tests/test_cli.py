@@ -283,6 +283,16 @@ def test_non_integer_structure_is_input_error(capsys, tmp_path):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("command", ["msp", "css"])
+def test_unconnected_structure_of_2_to_62_players_is_input_error(capsys, tmp_path, command):
+    # Deciding connectedness must not build a 2^n-bit player mask.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 4611686018427387904, "minimal_sets": [[1]]}')
+    code, out, err = run_cli(capsys, command, "--structure", str(path))
+    assert_one_line_error(code, out, err)
+    assert "outside every minimal set" in err
+
+
 @pytest.mark.parametrize(
     "command, secret",
     [

@@ -22,7 +22,7 @@ from spanshare.entropy import (
     verify_monotonicity,
 )
 
-from conftest import all_subsets
+from conftest import all_subsets, brute_authorized
 
 
 def test_secret_spec_validation():
@@ -341,6 +341,13 @@ def realizable_structures(draw):
 @given(realizable_structures(), st.sampled_from((2, 3, 5)))
 def test_subset_ranks_match_elimination_random(g, q):
     _assert_ranks_match_elimination(g, q)
+
+
+def test_authorization_flags_match_the_minimal_sets():
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            for report in all_subset_entropies(g, SecretSpec.uniform(2)):
+                assert report.authorized == brute_authorized(g.minimal_sets, report.subset)
 
 
 def test_subset_report_runs_no_elimination(monkeypatch, triangle, fan, star4):

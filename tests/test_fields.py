@@ -49,6 +49,13 @@ def test_entries_canonicalized():
     assert m.entries == ((2, 1, 0),)
 
 
+def test_canonical_tuple_rows_are_kept():
+    row = (2, 1, 0)
+    m = FieldMatrix(PrimeField(3), (row, [4, -1, 3]))
+    assert m.entries[0] is row
+    assert m.entries[1] == (1, 2, 0) and type(m.entries[1]) is tuple
+
+
 def test_dimension_checks():
     with pytest.raises(ValueError):
         FieldMatrix(F2, ((1, 0), (1,)))
