@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import access, entropy, msp as msp_mod, oracle
+from . import access, entropy, fields, msp as msp_mod, oracle
 from .entropy import SecretSpec, format_subset
 
 
@@ -85,8 +85,7 @@ def _purify(args, g, secret, emit) -> int:
 
 
 def _msp(args, g, secret, emit) -> int:
-    program, _ = msp_mod.build_normal_form(g, args.q)
-    emit(msp_mod.msp_to_text(program).rstrip("\n"))
+    emit(msp_mod.normal_form_text(g, args.q).rstrip("\n"))
     return 0
 
 
@@ -193,21 +192,12 @@ def _verify_oracle(args, g, secret, emit) -> int:
 
 
 def _css(args, g, secret, emit) -> int:
-    form = msp_mod.to_css(*msp_mod.build_normal_form(g, args.q))
+    columns = msp_mod.normal_form_layout(g).array(args.q).T
     if args.fmt == "json":
-        emit(
-            json.dumps(
-                {
-                    "x_bar": list(form.x_bar),
-                    "generators": [list(v) for v in form.generators],
-                },
-                sort_keys=True,
-            )
-        )
+        x_bar, *generators = columns.tolist()
+        emit(json.dumps({"x_bar": x_bar, "generators": generators}, sort_keys=True))
     else:
-        emit("xbar: " + " ".join(str(x) for x in form.x_bar))
-        for gen in form.generators:
-            emit("generator: " + " ".join(str(x) for x in gen))
+        emit("xbar: " + "\ngenerator: ".join(fields.rows_to_text(columns, args.q).splitlines()))
     return 0
 
 

@@ -49,7 +49,7 @@ class SecretSpec:
         # NaN compares false both ways, so `p < 0` and the sum check let it through.
         if not all(math.isfinite(p) and p >= 0 for p in self.distribution):
             raise ValueError("probabilities must be finite and nonnegative")
-        if abs(sum(self.distribution) - 1.0) > 1e-12:
+        if abs(math.fsum(self.distribution) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
 
     @classmethod

@@ -3,12 +3,15 @@
 Everything here works on plain Python integers reduced to canonical
 representatives in [0, q-1], so ranks, solved coefficients and kernel
 vectors are exact (no floating point anywhere). Elimination uses
-first-nonzero pivoting, which makes every result deterministic.
+first-nonzero pivoting, which makes every result deterministic. numpy
+enters only as array input and in `rows_to_text`, the shared formatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 Vector = tuple[int, ...]
 
@@ -47,7 +50,8 @@ class FieldMatrix:
     """Immutable d x e matrix with entries canonical in [0, q-1].
 
     `cols` must be given explicitly when there are no rows, since a
-    0 x e matrix still has a well-defined kernel.
+    0 x e matrix still has a well-defined kernel. `entries` may also be a
+    2-D integer array, reduced mod q into tuple rows.
     """
 
     field: PrimeField
@@ -56,6 +60,15 @@ class FieldMatrix:
 
     def __post_init__(self):
         q = self.field.q
+        if isinstance(self.entries, np.ndarray):
+            array = self.entries
+            if array.ndim != 2 or 0 <= self.cols != array.shape[1]:
+                raise ValueError("matrix array must be 2-D with the given column count")
+            # Reduce 256 rows and list one row at a time: no full-size copy is ever held.
+            rows = (r.tolist() for i in range(0, len(array), 256) for r in array[i : i + 256] % q)
+            object.__setattr__(self, "cols", array.shape[1])
+            object.__setattr__(self, "entries", tuple(map(tuple, rows)))
+            return
         if self.cols < 0:
             if not self.entries:
                 raise ValueError("column count required for a matrix with no rows")
@@ -157,11 +170,33 @@ def kernel_basis(m: FieldMatrix) -> list[Vector]:
     return basis
 
 
+def rows_to_text(array: np.ndarray, q: int) -> str:
+    """Rows of a canonical 2-D array as lines of space-separated decimals.
+
+    Each entry fills len(str(q - 1)) digit cells and a separator in one
+    uint8 buffer, decoded once; leading zeros are masked out.
+    """
+    if not array.shape[1]:
+        return "\n" * len(array)
+    width = len(str(q - 1))
+    cells = np.empty((*array.shape, width + 1), dtype=np.uint8)
+    cells[:, :, width] = ord(" ")
+    cells[:, -1, width] = ord("\n")
+    for j in range(width):
+        cells[:, :, j] = array // 10 ** (width - 1 - j) % 10 + ord("0")
+    if width > 1:
+        keep = np.ones(cells.shape, dtype=bool)
+        for j in range(width - 1):
+            keep[:, :, j] = array >= 10 ** (width - 1 - j)
+        cells = cells[keep]
+    return str(memoryview(cells), "ascii")
+
+
 def matrix_to_text(m: FieldMatrix) -> str:
     """Serialize as 'd e q' header plus one line per row."""
-    lines = [f"{m.rows} {m.cols} {m.field.q}"]
-    lines.extend(" ".join(str(x) for x in row) for row in m.entries)
-    return "\n".join(lines) + "\n"
+    q = m.field.q
+    array = np.array(m.entries, dtype=np.min_scalar_type(q - 1)).reshape(m.rows, m.cols)
+    return f"{m.rows} {m.cols} {q}\n" + rows_to_text(array, q)
 
 
 def matrix_from_text(text: str) -> FieldMatrix:

@@ -8,6 +8,7 @@ identity block I_{r_i} in a private column band and one closing row
 carrying 1 in the secret column and -1 across the band. The identity
 rows are labeled with the first r_i participants of A_i and the
 closing row with the last, both in presentation order.
+The matrix is laid out once per build, by `NormalFormLayout.array`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .fields import (
     matrix_from_text,
     matrix_to_text,
     rank,
+    rows_to_text,
     solve_combination,
 )
 
@@ -94,6 +96,26 @@ class NormalFormLayout:
     def e(self) -> int:
         return self.c + 1
 
+    @property
+    def psi(self) -> tuple[int, ...]:
+        return tuple(p for a_i in self.minimal_set_order for p in a_i)
+
+    def array(self, q: int) -> np.ndarray:
+        """The d x e matrix over F_q, in the smallest unsigned dtype holding q - 1.
+
+        Band column j of block i (from 0) has its identity 1 in row j - 1 + i;
+        block i's closing row has 1 in column 0 and q - 1 across the band.
+        """
+        PrimeField(q)  # rejects a q that is not prime
+        m = np.zeros((self.d, self.e), dtype=np.min_scalar_type(q - 1))
+        band = np.arange(1, self.e)
+        blocks = np.repeat(np.arange(self.k), self.block_sizes)
+        closing = np.array([hi - 1 for _, hi in self.row_blocks])
+        m[band - 1 + blocks, band] = 1
+        m[closing, 0] = 1
+        m[closing[blocks], band] = q - 1
+        return m
+
     @cached_property
     def rank_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(K, rank) for every player mask S (bit p - 1 for player p).
@@ -127,50 +149,43 @@ class NormalFormLayout:
         return None
 
 
-def build_normal_form(
-    g: AccessStructure, q: int = 2
-) -> tuple[MonotoneSpanProgram, NormalFormLayout]:
-    """Construct the normal-form program computing `g` over F_q.
+def normal_form_layout(g: AccessStructure) -> NormalFormLayout:
+    """Block geometry of the normal form of `g`, without its matrix.
 
     Requires a connected, quantum-realizable structure. Minimal sets
     and their members are taken in the structure's presentation order,
-    which pins the block layout and the row labeling. The matrix has
-    full column rank by construction: the identity rows span every
-    band column, and any closing row then adds the secret column.
+    which pins the block layout and the row labeling.
     """
     if not is_realizable(g):
         raise ValueError("structure admits two disjoint authorized sets; not realizable")
     if not is_connected(g):
         raise ValueError("structure has a player outside every minimal set")
-    fq = PrimeField(q)
     order = g.presentation
     sizes = tuple(len(a) - 1 for a in order)
-    c = sum(sizes)
-    e = c + 1
-    rows: list[Vector] = []
-    psi: list[int] = []
-    row_blocks = []
-    col_blocks = []
-    col = 1
-    for a_i, r_i in zip(order, sizes):
-        row_lo = len(rows)
-        for t in range(r_i):
-            row = [0] * e
-            row[col + t] = 1
-            rows.append(tuple(row))
-            psi.append(a_i[t])
-        closing = [0] * e
-        closing[0] = 1
-        for t in range(r_i):
-            closing[col + t] = q - 1
-        rows.append(tuple(closing))
-        psi.append(a_i[-1])
-        row_blocks.append((row_lo, len(rows)))
-        col_blocks.append((col, col + r_i))
-        col += r_i
-    program = MonotoneSpanProgram(fq, FieldMatrix(fq, tuple(rows), e), tuple(psi))
-    layout = NormalFormLayout(order, sizes, tuple(row_blocks), tuple(col_blocks))
-    return program, layout
+    rows = tuple(accumulate((len(a) for a in order), initial=0))
+    cols = tuple(accumulate(sizes, initial=1))
+    return NormalFormLayout(order, sizes, tuple(zip(rows, rows[1:])), tuple(zip(cols, cols[1:])))
+
+
+def build_normal_form(
+    g: AccessStructure, q: int = 2
+) -> tuple[MonotoneSpanProgram, NormalFormLayout]:
+    """Construct the normal-form program computing `g` over F_q.
+
+    The matrix is `normal_form_layout(g).array(q)`, built once. It has
+    full column rank by construction: the identity rows span every
+    band column, and any closing row then adds the secret column.
+    """
+    layout = normal_form_layout(g)
+    fq = PrimeField(q)
+    return MonotoneSpanProgram(fq, FieldMatrix(fq, layout.array(q), layout.e), layout.psi), layout
+
+
+def normal_form_text(g: AccessStructure, q: int = 2) -> str:
+    """`msp_to_text(build_normal_form(g, q)[0])`, printed from the layout's array."""
+    layout = normal_form_layout(g)
+    matrix = rows_to_text(layout.array(q), q)
+    return f"{layout.d} {layout.e} {q}\n{matrix}psi: " + " ".join(map(str, layout.psi)) + "\n"
 
 
 @dataclass(frozen=True)

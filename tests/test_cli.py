@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import math
 
 import pytest
 
 from spanshare import cli
 from spanshare.entropy import EntropyReport, MonotonicityViolation
+from spanshare.fields import FieldMatrix
 
 TRIANGLE_JSON = '{"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}'
 FAN_JSON = '{"n": 3, "minimal_sets": [[1,2],[1,3]]}'
@@ -151,6 +153,28 @@ def test_css(capsys, tri_path):
         "generator: 0 0 1 1 0 0",
         "generator: 0 0 0 0 1 1",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv", [["msp"], ["css"], ["css", "--format", "json"]], ids=["msp", "css", "css-json"]
+)
+def test_msp_and_css_build_no_field_matrix(capsys, tri_path, monkeypatch, argv):
+    expected = run_cli(capsys, *argv, "--structure", tri_path)
+
+    def refuse(self):
+        raise AssertionError("the printout built a FieldMatrix")
+
+    monkeypatch.setattr(FieldMatrix, "__post_init__", refuse)
+    assert run_cli(capsys, *argv, "--structure", tri_path) == expected
+    assert expected[0] == 0 and expected[1]
+
+
+def test_large_field_is_accepted(capsys, tri_path):
+    code, out, _ = run_cli(capsys, "classify", "--structure", tri_path, "--q", "100003")
+    assert code == 0 and out == "self_dual=true quantum_realizable=true connected=true\n"
+    code, out, _ = run_cli(capsys, "entropy", "--structure", tri_path, "--q", "100003", "--set", "1")
+    assert code == 0
+    assert out.startswith(f"{2 * math.log2(100003):.6f} bits (a=2,")
 
 
 def test_tent_default_chain(capsys, tri_path):

@@ -41,6 +41,11 @@ def test_secret_spec_rejects_non_finite_probabilities():
             SecretSpec(2, dist)
 
 
+def test_uniform_secret_over_a_large_field():
+    # A plain sum of 100003 copies of 1/100003 misses 1 by more than 1e-12.
+    assert abs(SecretSpec.uniform(100003).entropy_bits - math.log2(100003)) < 1e-9
+
+
 def test_secret_entropy_values():
     assert SecretSpec.uniform(2).entropy_bits == 1.0
     assert SecretSpec.point(2, 0).entropy_bits == 0.0

@@ -1,5 +1,6 @@
 """Exact prime-field linear algebra against brute-force enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from spanshare.fields import (
     matrix_from_text,
     matrix_to_text,
     rank,
+    rows_to_text,
     solve_combination,
 )
 
@@ -54,6 +56,23 @@ def test_canonical_tuple_rows_are_kept():
     m = FieldMatrix(PrimeField(3), (row, [4, -1, 3]))
     assert m.entries[0] is row
     assert m.entries[1] == (1, 2, 0) and type(m.entries[1]) is tuple
+
+
+def test_array_entries_are_canonicalized():
+    m = FieldMatrix(PrimeField(3), np.array([[-1, 4, 3], [5, -3, 2]]))
+    assert m.entries == ((2, 1, 0), (2, 0, 2)) and m.cols == 3
+    assert all(type(row) is tuple and type(row[0]) is int for row in m.entries)
+    empty = FieldMatrix(PrimeField(3), np.zeros((0, 4), dtype=np.uint8))
+    assert empty.entries == () and empty.cols == 4
+
+
+def test_array_shape_checks():
+    with pytest.raises(ValueError):
+        FieldMatrix(F2, np.zeros((2, 3), dtype=np.int64), 4)
+    with pytest.raises(ValueError):
+        FieldMatrix(F2, np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError):
+        FieldMatrix(F2, np.zeros((1, 2, 3), dtype=np.int64))
 
 
 def test_dimension_checks():
@@ -191,3 +210,23 @@ def test_matrix_text_rejects_garbage():
         matrix_from_text("2 2 2\n1 0\n")
     with pytest.raises(ValueError):
         matrix_from_text("1 2 2\n1 0 1\n")
+
+
+@st.composite
+def canonical_arrays(draw):
+    q = draw(st.sampled_from([2, 3, 11, 101, 65537]))
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols)
+    return q, rows, cols, draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_arrays())
+def test_rows_to_text_matches_a_per_entry_join(case):
+    q, rows, cols, entries = case
+    array = np.array(entries, dtype=np.min_scalar_type(q - 1)).reshape(rows, cols)
+    text = rows_to_text(array, q)
+    assert text == "".join(" ".join(str(x) for x in row) + "\n" for row in entries)
+    again = matrix_from_text(f"{rows} {cols} {q}\n" + text)
+    assert again.entries == tuple(map(tuple, entries)) and again.cols == cols

@@ -1,5 +1,7 @@
 """Normal-form span programs: construction, acceptance, rank accounting."""
 
+import itertools
+
 import pytest
 
 from spanshare.access import enumerate_structures, from_minimal_sets, is_authorized
@@ -13,6 +15,8 @@ from spanshare.msp import (
     encoding_image,
     msp_from_text,
     msp_to_text,
+    normal_form_layout,
+    normal_form_text,
     rank_bookkeeping,
     rejection_witness,
     row_independence_case,
@@ -77,6 +81,35 @@ def test_build_rejects_bad_structures():
         build_normal_form(from_minimal_sets(4, [[1, 2], [3, 4]]), 2)
     with pytest.raises(ValueError):
         build_normal_form(from_minimal_sets(3, [[1, 2]]), 2)  # player 3 unused
+
+
+def test_normal_form_text_matches_the_built_program():
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            for q in (2, 3, 11):
+                text = msp_to_text(build_normal_form(g, q)[0])
+                assert normal_form_text(g, q) == text, (g.minimal_sets, q)
+
+
+def test_normal_form_matches_rows_built_block_by_block():
+    # The row-by-row construction the layout's array replaced.
+    q = 3
+    g = from_minimal_sets(5, [list(c) for c in itertools.combinations(range(1, 6), 3)])
+    e = 1 + sum(len(a) - 1 for a in g.presentation)
+    rows, psi, col = [], [], 1
+    for a_i in g.presentation:
+        r_i = len(a_i) - 1
+        for t in range(r_i):
+            rows.append(tuple(1 if j == col + t else 0 for j in range(e)))
+        rows.append(tuple(1 if j == 0 else q - 1 if col <= j < col + r_i else 0 for j in range(e)))
+        psi.extend(a_i)
+        col += r_i
+    program, layout = build_normal_form(g, q)
+    assert program.matrix.entries == tuple(rows) and program.psi == tuple(psi)
+    assert program.matrix.cols == e == layout.e
+    assert normal_form_layout(g) == layout
+    with pytest.raises(ValueError, match="prime"):
+        layout.array(4)
 
 
 def test_accepts_authorized_pair(tri_program):
