@@ -1,4 +1,4 @@
-"""Share-subset entropies from ranks of the span matrix.
+"""Share-subset entropies as cut counts.
 
 For a scheme realized by a normal-form program, the entropy of the
 shares held by a player set A is
@@ -7,20 +7,47 @@ shares held by a player set A is
     S(A) = (a + b - m) * log2(q)               otherwise
 
 where a, b, m are the ranks of the rows of A, the rows of its
-complement, and the whole matrix. In the normal form these ranks are
-counted from the block layout, with no elimination: for a player set S,
+complement A', and the whole matrix. Structures that are not self-dual
+are first extended by one purification player; the extra share is kept
+out of every queried subset but belongs to A'. The realized structure
+is therefore self-dual: exactly one of A and A' is authorized.
 
-    rank(M_S) = sum_i |A_i & S| - max(0, K(S) - 1),
+Ranks from the block layout. Let A_1..A_k be the minimal sets, K(S) the
+number of them inside a player set S, deg(p) the number holding player
+p, and rows(S) = sum of deg(p) over p in S. Block i gives S one row per
+member of A_i in S. The rows of a block wholly inside S sum to the
+secret column, so the K(S) full blocks are tied together through that
+one shared column and lose K(S) - 1 dimensions. The rows of a block
+missing a member enter no dependence: the identity rows are unit
+vectors, and the closing row, if present, has a band column (the
+missing member's) that no other row of S covers. Hence
 
-with A_i the minimal sets and K(S) the number of them inside S.
-`NormalFormLayout.rank_table` holds K and this rank for all 2^n player
-sets, so each subset's entropy is two lookups, and A is authorized iff
-K(A) > 0. For S the full player set every block is inside, so
-m = d - (k - 1) = e. Exact elimination over F_q is the reference the
-tests hold the table to. Structures that are not
-self-dual are first extended by one purification player; the extra
-share is kept out of every queried subset but participates in the
-complement ranks.
+    rank(M_S) = rows(S) - max(0, K(S) - 1),
+
+and m = d - (k - 1) = e, every block lying inside the full set.
+
+The cut count. rows(A) + rows(A') = d = e + k - 1, and one of K(A),
+K(A') is 0, so
+
+    a + b - m = k - K(A) - K(A') = cut(A),
+
+the number of minimal sets that meet both A and A' (none lies inside
+both). So S(A) = cut(A) * log2(q), plus S(secret) when A is authorized.
+`NormalFormLayout.cut_table` holds the flag and cut(A) for every player
+set; a and b are recovered from cut(A) and the degrees, since
+k - cut(A) - 1 = K - 1 for the side holding whole blocks. Exact
+elimination over F_q is the reference the tests hold them to.
+
+The paper's theorems follow. On unauthorized sets K(A) = 0 and
+cut(A) = k - K(A'); as A grows, A' shrinks, so the entropy is
+nondecreasing. On authorized sets K(A') = 0 and cut(A) = k - K(A),
+which falls as A grows: nonincreasing. Both maxima are k - 1, since the
+authorized side of a cut holds at least one minimal set. They are
+attained: K = 1 at a minimal set, and the complement of a minimal set
+is unauthorized with K(A') = 1 (for a purified structure, take a
+minimal set holding the extra player). An unauthorized single share
+{p} has K({p}') = k - deg(p), so its entropy is deg(p) * log2(q):
+2 * log2(q) for each share of the triangle.
 """
 
 from __future__ import annotations
@@ -28,6 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from . import access
 from .access import AccessStructure, Subset, classify, purify, subsets_in_order
@@ -131,30 +160,43 @@ def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
     a = tuple(sorted(set(a)))
-    original = set(rz.structure.players)
-    if not set(a) <= original:
-        raise ValueError(f"subset {a} contains unknown players")
-    counts, rank = rz.layout.rank_table
+    layout = rz.layout
+    auth, cut = layout.cut_table
     s = access._mask(a, rz.structure.n)
-    complement = ((1 << len(rz.full_players)) - 1) ^ s
-    a_rk, b_rk = int(rank[s]), int(rank[complement])
-    m_rk = rz.layout.e  # rank of the full player set: d - (k - 1) = e
-    authorized = bool(counts[s])
-    bits = (a_rk + b_rk - m_rk) * math.log2(rz.q)
+    authorized, split = auth.item(s), cut.item(s)
+    rows = sum(map(layout.degrees.__getitem__, a))
+    tied = layout.k - split - 1  # K - 1 on the side holding whole blocks
+    a_rk = rows - (tied if authorized else 0)
+    b_rk = layout.d - rows - (0 if authorized else tied)
+    bits = split * math.log2(rz.q)
     if authorized:
         bits += secret.entropy_bits
-    return EntropyReport(a, authorized, a_rk, b_rk, m_rk, bits)
+    return EntropyReport(a, authorized, a_rk, b_rk, layout.e, bits)
 
 
 def subset_entropy(g: AccessStructure, secret: SecretSpec, a) -> EntropyReport:
     return subset_report(realize(g, secret.q), secret, a)
 
 
+def _sweep(g: AccessStructure, secret: SecretSpec, rz: SchemeRealization | None):
+    """The checked realization and its (auth, cut) over the original players' masks."""
+    access._check_cap(g.n)
+    rz = rz or realize(g, secret.q)
+    if secret.q != rz.q:
+        raise ValueError("secret field does not match the program field")
+    auth, cut = rz.layout.cut_table
+    return rz, auth[: 1 << g.n], cut[: 1 << g.n]
+
+
+def _subset_order(mask: int):
+    """Sort key of `subsets_in_order`: size, then members lexicographically."""
+    return mask.bit_count(), access._members(mask)
+
+
 def all_subset_entropies(
     g: AccessStructure, secret: SecretSpec, rz: SchemeRealization | None = None
 ) -> list[EntropyReport]:
-    access._check_cap(g.n)
-    rz = rz or realize(g, secret.q)
+    rz = _sweep(g, secret, rz)[0]
     return [subset_report(rz, secret, a) for a in subsets_in_order(g.players)]
 
 
@@ -183,27 +225,26 @@ def verify_monotonicity(
     covering pair out of order does, and the returned list names
     covering pairs only (n * 2^(n-1) comparisons instead of 4^n).
     Entropies of same-flag pairs differ by an integer multiple of
-    log2 q, so the comparison is exact on the rank sums.
+    log2 q: comparing cut counts is exact, and only violations get reports.
     """
-    return _covering_violations(all_subset_entropies(g, secret, rz), g.players)
+    rz, auth, cut = _sweep(g, secret, rz)
+    return [
+        MonotonicityViolation(*(subset_report(rz, secret, access._members(m)) for m in pair))
+        for pair in _covering_violations(auth, cut)
+    ]
 
 
-def _covering_violations(reports, players) -> list[MonotonicityViolation]:
-    """Same-flag covering pairs out of order; `reports` holds every subset of `players`."""
-    by_subset = {r.subset: r for r in reports}
-    violations = []
-    for small in reports:
-        for p in players:
-            if p in small.subset:
-                continue
-            large = by_subset[tuple(sorted(small.subset + (p,)))]
-            if small.authorized != large.authorized:
-                continue
-            if small.authorized and small.rank_excess < large.rank_excess:
-                violations.append(MonotonicityViolation(small, large))
-            if not small.authorized and small.rank_excess > large.rank_excess:
-                violations.append(MonotonicityViolation(small, large))
-    return violations
+def _covering_violations(auth: np.ndarray, cut: np.ndarray) -> list[tuple[int, int]]:
+    """Same-flag covering pairs (S, S | bit) out of order, one pass per bit over
+    all 2^n masks, in subset order of S, then by the added player."""
+    pairs = []
+    for b in range(len(auth).bit_length() - 1):
+        flag, split = auth.reshape(-1, 2, 1 << b), cut.reshape(-1, 2, 1 << b)
+        small, large = split[:, 0], split[:, 1]
+        bad = (flag[:, 0] == flag[:, 1]) & np.where(flag[:, 0], small < large, small > large)
+        high, low = np.nonzero(bad)
+        pairs += [(s, s | 1 << b) for s in ((high << (b + 1)) | low).tolist()]
+    return sorted(pairs, key=lambda pair: (_subset_order(pair[0]), pair[1]))
 
 
 @dataclass(frozen=True)
@@ -287,7 +328,7 @@ def greedy_chain(g: AccessStructure) -> list[Subset]:
 class ExtremalReport:
     max_authorized: EntropyReport
     max_authorized_is_minimal_set: bool
-    max_unauthorized: EntropyReport | None
+    max_unauthorized: EntropyReport
     max_unauthorized_is_maximal_set: bool
 
     def all_pass(self) -> bool:
@@ -300,28 +341,21 @@ def extremal_check(
     """Locate the entropy maxima among authorized and unauthorized sets.
 
     The authorized maximum must be attained at some minimal authorized
-    set and the unauthorized maximum at some maximal unauthorized set;
-    ties across several sets are allowed.
+    set and the unauthorized maximum at some maximal unauthorized set.
+    Ties are allowed; each side, never empty, reports its first subset
+    in subset order.
     """
-    reports = all_subset_entropies(g, secret, rz)
-    authorized = [r for r in reports if r.authorized]
-    unauthorized = [r for r in reports if not r.authorized]
-    best_auth = max(authorized, key=lambda r: r.rank_excess)
-    minimal_sets = set(g.minimal_sets)
-    auth_ok = any(
-        r.rank_excess == best_auth.rank_excess and r.subset in minimal_sets
-        for r in authorized
+    rz, auth, cut = _sweep(g, secret, rz)
+
+    def side(flag: np.ndarray, extremal_sets) -> tuple[EntropyReport, bool]:
+        top = cut[flag].max()
+        first = min(np.flatnonzero(flag & (cut == top)).tolist(), key=_subset_order)
+        attained = any(cut[access._mask(a, g.n)] == top for a in extremal_sets)
+        return subset_report(rz, secret, access._members(first)), attained
+
+    return ExtremalReport(
+        *side(auth, g.minimal_sets), *side(~auth, access.maximal_unauthorized(g))
     )
-    if unauthorized:
-        best_unauth = max(unauthorized, key=lambda r: r.rank_excess)
-        maximal_sets = set(access.maximal_unauthorized(g))
-        unauth_ok = any(
-            r.rank_excess == best_unauth.rank_excess and r.subset in maximal_sets
-            for r in unauthorized
-        )
-    else:
-        best_unauth, unauth_ok = None, True
-    return ExtremalReport(best_auth, auth_ok, best_unauth, unauth_ok)
 
 
 def format_subset(a: Subset) -> str:

@@ -13,7 +13,6 @@ The matrix is laid out once per build, by `NormalFormLayout.array`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
@@ -117,30 +116,22 @@ class NormalFormLayout:
         return m
 
     @cached_property
-    def rank_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(K, rank) for every player mask S (bit p - 1 for player p).
+    def degrees(self) -> tuple[int, ...]:
+        """Rows per player: entry p counts the minimal sets holding player p (entry 0 is 0)."""
+        return tuple(np.bincount(self.psi).tolist())
 
-        K[S] counts the minimal sets A_i inside S, and rank[S] is
-        rank(M_S) for the rows of S. Block i gives one row per member of
-        A_i in S. The rows of a block wholly inside S sum to the secret
-        column, so the K[S] full blocks are tied together through that
-        one shared column and lose K[S] - 1 dimensions. The rows of a
-        block missing a member enter no dependence: the identity rows
-        are unit vectors, and the closing row, if present, has a band
-        column (the missing member's) that no other row of S covers.
-        Hence
+    @cached_property
+    def cut_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(auth, cut) for every player mask S (bit p - 1 for player p), in O(n 2^n).
 
-            rank(M_S) = sum_i |A_i & S| - max(0, K(S) - 1),
-
-        exact for the matrix that `build_normal_form` lays out this way.
-        Both tables take O(n 2^n) numpy operations.
+        With K[S] the number of minimal sets inside S, auth[S] is K[S] > 0 and
+        cut[S] = k - K[S] - K[~S] counts the minimal sets meeting both S and its
+        complement. `entropy` proves it is the rank excess of a self-dual structure.
         """
         n = max(max(a_i) for a_i in self.minimal_set_order)
         counts = inside_counts(n, [_mask(a_i, n) for a_i in self.minimal_set_order])
-        rows = np.zeros(1 << n, dtype=np.int64)
-        for p, degree in Counter(p for a_i in self.minimal_set_order for p in a_i).items():
-            rows.reshape(-1, 2, 1 << (p - 1))[:, 1] += degree
-        return counts, rows - np.maximum(0, counts - 1)
+        # Reversing the table maps S to full ^ S, its complement.
+        return counts > 0, self.k - counts - counts[::-1]
 
     def block_of_row(self, row: int) -> int | None:
         for i, (lo, hi) in enumerate(self.row_blocks):

@@ -49,6 +49,17 @@ def star4_rz(star4):
     return realize(star4, 2)
 
 
+@pytest.fixture
+def corrupted_triangle_rz(triangle):
+    """A fresh triangle realization whose cut table puts S(1, 2) below S(1, 2, 3)."""
+    rz = realize(triangle, 2)
+    auth, cut = rz.layout.cut_table
+    cut = cut.copy()
+    cut[0b011] = -1  # 0 bits for (1, 2) against the 1 bit of the full set
+    rz.layout.__dict__["cut_table"] = (auth, cut)
+    return rz
+
+
 @pytest.fixture(scope="session")
 def uniform2():
     return SecretSpec.uniform(2)

@@ -123,6 +123,15 @@ def test_verify_theorem_reports_violations(capsys, tri_path, monkeypatch):
     assert out.startswith("VIOLATION")
 
 
+def test_verify_theorem_reports_a_corrupted_cut_table(
+    capsys, tri_path, monkeypatch, corrupted_triangle_rz
+):
+    monkeypatch.setattr(cli.entropy, "realize", lambda g, q=2: corrupted_triangle_rz)
+    code, out, _ = run_cli(capsys, "verify-theorem", "--structure", tri_path)
+    assert code == 2
+    assert out == "VIOLATION S((1, 2)) < S((1, 2, 3)): 0.000000 vs 1.000000\n"
+
+
 def test_verify_oracle_ok(capsys, tri_path):
     code, out, _ = run_cli(capsys, "verify-oracle", "--structure", tri_path)
     assert code == 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,6 +372,95 @@ def test_subset_report_runs_no_elimination(monkeypatch, triangle, fan, star4):
         assert chain_profile(g, secret, greedy_chain(g), rz).is_tent()
 
 
+def _assert_cut_table_counts_split_sets(g):
+    """cut[S] is the number of minimal sets meeting S and its complement, for every S."""
+    rz = realize(g, 2)
+    sets = [set(a_i) for a_i in rz.layout.minimal_set_order]
+    auth, cut = rz.layout.cut_table
+    assert len(cut) == 2 ** len(rz.full_players)
+    for mask, s in enumerate(all_subsets(len(rz.full_players))):
+        assert cut[mask] == sum(1 for a_i in sets if a_i & set(s) and a_i - set(s))
+        assert auth[mask] == brute_authorized(sets, s)
+
+
+def test_cut_table_counts_split_sets_exhaustive():
+    from spanshare.access import classify
+
+    purified = 0
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            purified += not classify(g).self_dual
+            _assert_cut_table_counts_split_sets(g)
+    assert purified > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizable_structures())
+def test_cut_table_counts_split_sets_random(g):
+    _assert_cut_table_counts_split_sets(g)
+
+
+def test_sweeps_check_the_field_and_the_cap(monkeypatch, triangle, triangle_rz):
+    from spanshare import access
+
+    for sweep in (verify_monotonicity, extremal_check):
+        with pytest.raises(ValueError, match="secret field"):
+            sweep(triangle, SecretSpec.uniform(3), triangle_rz)
+    monkeypatch.setattr(access, "ENUMERATION_CAP", 2)
+    for sweep in (verify_monotonicity, extremal_check):
+        with pytest.raises(ValueError, match=r"refusing 2\^3"):
+            sweep(triangle, SecretSpec.uniform(2), triangle_rz)
+
+
+def test_sweeps_build_reports_only_for_what_they_return(monkeypatch):
+    from spanshare import entropy
+
+    n = 10
+    hub = from_minimal_sets(n, [[1, i] for i in range(2, n + 1)] + [list(range(2, n + 1))])
+    rz, secret = realize(hub, 2), SecretSpec.uniform(2)
+    calls = []
+    original = entropy.subset_report
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(entropy, "subset_report", counting)
+    assert verify_monotonicity(hub, secret, rz) == []
+    assert calls == []
+    report = extremal_check(hub, secret, rz)
+    assert len(calls) == 2
+    assert report.all_pass()
+    # k - 1 = 9 split sets at both maxima: first (1, 2), and the share of player 1.
+    assert (report.max_authorized.subset, report.max_authorized.entropy_bits) == ((1, 2), 10.0)
+    assert (report.max_unauthorized.subset, report.max_unauthorized.entropy_bits) == ((1,), 9.0)
+
+
+def test_extremal_check_fails_on_a_corrupted_cut_table():
+    from spanshare.access import _mask
+
+    n = 10
+    hub = from_minimal_sets(n, [[1, i] for i in range(2, n + 1)] + [list(range(2, n + 1))])
+    rz = realize(hub, 2)
+    auth, cut = rz.layout.cut_table
+    cut = cut.copy()
+    # Above the true maxima k - 1 = 9, within what the ranks of a report allow.
+    cut[_mask((1, 2, 3), n)], cut[_mask((2, 3, 4, 5, 6), n)] = 12, 10
+    rz.layout.__dict__["cut_table"] = (auth, cut)
+    report = extremal_check(hub, SecretSpec.uniform(2), rz)
+    assert (report.max_authorized.subset, report.max_authorized_is_minimal_set) == ((1, 2, 3), False)
+    assert (report.max_unauthorized.subset, report.max_unauthorized_is_maximal_set) == (
+        (2, 3, 4, 5, 6),
+        False,
+    )
+
+
+def test_corrupted_cut_table_names_the_pair(triangle, uniform2, corrupted_triangle_rz):
+    violations = verify_monotonicity(triangle, uniform2, corrupted_triangle_rz)
+    assert [(v.smaller.subset, v.larger.subset) for v in violations] == [((1, 2), (1, 2, 3))]
+    assert str(violations[0]) == "S((1, 2)) < S((1, 2, 3)): 0.000000 vs 1.000000"
+
+
 def _all_pairs_violations(reports):
     """The rule verify_monotonicity used to apply: every nested same-flag pair."""
     out = set()
@@ -387,25 +477,48 @@ def _all_pairs_violations(reports):
     return out
 
 
+def _covering_pairs_by_report_loop(reports, players):
+    """The loop verify_monotonicity used to run: every report, then every player it lacks."""
+    by_subset = {r.subset: r for r in reports}
+    out = []
+    for small in reports:
+        for p in players:
+            if p in small.subset:
+                continue
+            large = by_subset[tuple(sorted(small.subset + (p,)))]
+            if small.authorized != large.authorized:
+                continue
+            if small.authorized and small.rank_excess < large.rank_excess:
+                out.append((small.subset, large.subset))
+            if not small.authorized and small.rank_excess > large.rank_excess:
+                out.append((small.subset, large.subset))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_covering_pairs_find_a_violation_iff_all_pairs_do(data):
-    from spanshare.access import subsets_in_order
+    from spanshare.access import _mask, _members, subsets_in_order
     from spanshare.entropy import EntropyReport, _covering_violations
 
     n = data.draw(st.integers(1, 5))
-    subsets = list(subsets_in_order(range(1, n + 1)))
+    players = tuple(range(1, n + 1))
+    subsets = list(subsets_in_order(players))
     generators = data.draw(st.lists(st.sampled_from(subsets), max_size=4))
     excess = data.draw(st.lists(st.integers(0, 3), min_size=len(subsets), max_size=len(subsets)))
     reports = [
         EntropyReport(a, any(set(gen) <= set(a) for gen in generators), x, 3, 3, float(x))
         for a, x in zip(subsets, excess)
     ]
-    violations = _covering_violations(reports, tuple(range(1, n + 1)))
-    covering = {(v.smaller.subset, v.larger.subset) for v in violations}
+    auth = np.zeros(1 << n, dtype=bool)
+    cut = np.zeros(1 << n, dtype=np.int64)
+    for r in reports:
+        auth[_mask(r.subset, n)], cut[_mask(r.subset, n)] = r.authorized, r.rank_excess
+    pairs = [(_members(s), _members(l)) for s, l in _covering_violations(auth, cut)]
+    assert pairs == _covering_pairs_by_report_loop(reports, players)
     reference = _all_pairs_violations(reports)
-    assert bool(covering) == bool(reference)
-    assert covering == {(s, l) for s, l in reference if len(l) == len(s) + 1}
+    assert bool(pairs) == bool(reference)
+    assert set(pairs) == {(s, l) for s, l in reference if len(l) == len(s) + 1}
 
 
 def test_maximal_chains_refuses_beyond_the_enumeration_cap():
