@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import compress
 
 import numpy as np
 
@@ -32,14 +32,7 @@ def _mask(members, n: int) -> int:
 
 
 def _members(mask: int) -> Subset:
-    out = []
-    p = 1
-    while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
-    return tuple(out)
+    return tuple(p for p in range(1, mask.bit_length() + 1) if mask >> (p - 1) & 1)
 
 
 def _canon_key(s: Subset):
@@ -86,11 +79,8 @@ class AccessStructure:
         for s in self.minimal_sets:
             if not s or list(s) != sorted(set(s)):
                 raise ValueError(f"set {s} must be nonempty with ascending members")
-        masks = self.minimal_masks()
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                if a & b in (a, b):
-                    raise ValueError("minimal sets must form an antichain")
+        if (_inside_each(self.masks) > 1).any():
+            raise ValueError("minimal sets must form an antichain")
         if list(self.minimal_sets) != sorted(self.minimal_sets, key=_canon_key):
             raise ValueError("minimal sets must be sorted by size then lexicographically")
         if not self.presentation:
@@ -104,13 +94,25 @@ class AccessStructure:
     def players(self) -> Subset:
         return tuple(range(1, self.n + 1))
 
-    def minimal_masks(self) -> list[int]:
-        return [_mask(s, self.n) for s in self.minimal_sets]
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """The minimal sets as bitmasks, in `minimal_sets` order."""
+        return _mask_array([_mask(s, self.n) for s in self.minimal_sets], self.n)
 
     @cached_property
     def authorized_table(self) -> np.ndarray:
         """auth[S] for all 2^n masks S: whether S contains a minimal set."""
-        return inside_counts(self.n, self.minimal_masks()) > 0
+        return inside_counts(self.n, self.masks) > 0
+
+
+def _mask_array(masks: list[int], n: int) -> np.ndarray:
+    # Inferred, a mask holding bit 63 would turn the whole array into float64.
+    return np.array(masks, dtype=np.int64 if n <= 63 else object)
+
+
+def _inside_each(masks: np.ndarray) -> np.ndarray:
+    """For each of `masks`, how many of `masks` lie inside it (itself included); one row each."""
+    return np.array([np.count_nonzero(masks & m == masks) for m in masks], dtype=np.int64)
 
 
 def from_minimal_sets(n: int, sets) -> AccessStructure:
@@ -132,13 +134,9 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
         masks.append(m)
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate minimal set after canonicalization")
-    keep = [
-        (s, m)
-        for s, m in zip(sets, masks)
-        if not any(other != m and m & other == other for other in masks)
-    ]
-    presentation = tuple(s for s, _ in keep)
-    canonical = tuple(sorted((_members(m) for _, m in keep), key=_canon_key))
+    keep = _inside_each(_mask_array(masks, n)) == 1  # only itself inside
+    presentation = tuple(compress(sets, keep))
+    canonical = tuple(sorted(map(_members, compress(masks, keep)), key=_canon_key))
     return AccessStructure(n, canonical, presentation)
 
 
@@ -167,7 +165,7 @@ def structure_to_json(g: AccessStructure) -> str:
 def is_authorized(g: AccessStructure, a) -> bool:
     """True iff `a` contains some minimal authorized set."""
     m = _mask(a, g.n)
-    return any(m & ms == ms for ms in g.minimal_masks())
+    return bool((g.masks & m == g.masks).any())
 
 
 def inside_counts(n: int, masks) -> np.ndarray:
@@ -212,22 +210,24 @@ class StructureClassification:
 
 def is_realizable(g: AccessStructure) -> bool:
     """No-cloning: no two authorized sets, so no two minimal sets, are disjoint."""
-    return all(x & y for x, y in combinations(g.minimal_masks(), 2))
+    return all((g.masks & m != 0).all() for m in g.masks)
 
 
 def is_connected(g: AccessStructure) -> bool:
     """True iff every player lies in some minimal authorized set."""
-    covered = 0
-    for m in g.minimal_masks():
-        covered |= m
-    return covered.bit_count() == g.n
+    return int(np.bitwise_or.reduce(g.masks)).bit_count() == g.n
 
 
 def classify(g: AccessStructure) -> StructureClassification:
     """Self-duality, quantum realizability and connectedness flags."""
     realizable = is_realizable(g)
-    self_dual = realizable and dual(g).minimal_sets == g.minimal_sets
+    self_dual = realizable and _is_self_dual(g.authorized_table)
     return StructureClassification(self_dual, realizable, is_connected(g))
+
+
+def _is_self_dual(auth: np.ndarray) -> bool:
+    """Exactly one of each set and its complement is authorized: g equals its dual."""
+    return bool((auth != auth[::-1]).all())
 
 
 def purify(g: AccessStructure) -> AccessStructure:
@@ -245,7 +245,7 @@ def purify(g: AccessStructure) -> AccessStructure:
     _check_cap(n1)
     auth = g.authorized_table  # auth[::-1] is auth at the complement
     result = AccessStructure(n1, _minimal_sets_of(n1, np.concatenate((auth, auth | ~auth[::-1]))))
-    if not classify(result).self_dual:
+    if not _is_self_dual(result.authorized_table):
         raise RuntimeError("purification produced a non-self-dual structure")
     if not np.array_equal(result.authorized_table[: 1 << g.n], auth):
         raise RuntimeError("purification does not restrict to the original structure")
@@ -258,8 +258,7 @@ def maximal_unauthorized(g: AccessStructure) -> list[Subset]:
     They are the complements of the dual's minimal authorized sets.
     """
     full = (1 << g.n) - 1
-    complements = (full & ~m for m in dual(g).minimal_masks())
-    return sorted((_members(m) for m in complements), key=_canon_key)
+    return sorted((_members(full & ~m) for m in dual(g).masks.tolist()), key=_canon_key)
 
 
 def enumerate_structures(

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -91,7 +92,7 @@ class SecretSpec:
         dist[s % q] = 1.0
         return cls(q, tuple(dist))
 
-    @property
+    @cached_property
     def entropy_bits(self) -> float:
         return -sum(p * math.log2(p) for p in self.distribution if p > 0)
 

@@ -70,14 +70,13 @@ class NormalFormLayout:
     """Block geometry of a normal-form matrix.
 
     d = sum |A_i| rows, e = c + 1 columns with c = sum (|A_i| - 1).
-    Block i owns the half-open row range row_blocks[i] and the column
-    band col_blocks[i] (absolute indices; column 0 is the secret).
+    Block i owns the half-open row range row_blocks[i] and block_sizes[i]
+    band columns; the bands follow column 0, the secret's, in block order.
     """
 
     minimal_set_order: tuple[Subset, ...]
     block_sizes: tuple[int, ...]  # r_i = |A_i| - 1
     row_blocks: tuple[tuple[int, int], ...]
-    col_blocks: tuple[tuple[int, int], ...]
 
     @property
     def k(self) -> int:
@@ -154,8 +153,7 @@ def normal_form_layout(g: AccessStructure) -> NormalFormLayout:
     order = g.presentation
     sizes = tuple(len(a) - 1 for a in order)
     rows = tuple(accumulate((len(a) for a in order), initial=0))
-    cols = tuple(accumulate(sizes, initial=1))
-    return NormalFormLayout(order, sizes, tuple(zip(rows, rows[1:])), tuple(zip(cols, cols[1:])))
+    return NormalFormLayout(order, sizes, tuple(zip(rows, rows[1:])))
 
 
 def build_normal_form(

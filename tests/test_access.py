@@ -125,7 +125,9 @@ def test_classify_realizability_matches_dual_containment():
             contained = all(
                 is_authorized(d, a) for a in all_subsets(n) if is_authorized(g, a)
             )
-            assert classify(g).quantum_realizable == contained
+            flags = classify(g)
+            assert flags.quantum_realizable == contained
+            assert flags.self_dual == (d.minimal_sets == g.minimal_sets)
 
 
 def test_purify_fan(fan):
@@ -202,6 +204,35 @@ def test_realizable_means_no_disjoint_authorized_pairs():
                 if not set(a) & set(b)
             )
             assert classify(g).quantum_realizable == (not disjoint)
+
+
+# Bit 63 (player 64) is where an inferred mask array turns into float64.
+WIDE_PLAYERS = (1, 2, 62, 63, 64, 65, 70)
+wide_sets = st.lists(
+    st.frozensets(st.sampled_from(WIDE_PLAYERS), min_size=1), min_size=1, max_size=10, unique=True
+).map(lambda sets: [sorted(s) for s in sets])
+
+
+def _canonical(sets):
+    return tuple(sorted((tuple(s) for s in sets), key=lambda s: (len(s), s)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_sets)
+def test_pairwise_facts_past_63_players(sets):
+    n = max(map(max, sets))  # 63 and 64 lie on either side of the int64 boundary
+    minimal = [s for s in sets if not any(set(t) < set(s) for t in sets)]
+    g = from_minimal_sets(n, sets)
+    assert g.presentation == tuple(map(tuple, minimal))
+    assert g.minimal_sets == _canonical(minimal)
+    assert access.is_realizable(g) == all(set(a) & set(b) for a in minimal for b in minimal)
+    for a in sets:
+        assert is_authorized(g, a[1:]) == brute_authorized(minimal, a[1:])
+    if any(set(a) < set(b) for a in sets for b in sets):
+        with pytest.raises(ValueError, match="antichain"):
+            AccessStructure(n, _canonical(sets))
+    else:
+        assert AccessStructure(n, _canonical(sets)) == g
 
 
 def test_json_roundtrip(triangle):

@@ -69,6 +69,16 @@ def test_msp_dump(capsys, tri_path):
     assert out.splitlines()[-1] == "psi: 1 2 2 3 3 1"
 
 
+def test_msp_past_63_players(capsys, tmp_path):
+    # The hub on 70 players: {1, i} for i = 2..70, plus {2, ..., 70}.
+    path = tmp_path / "hub70.json"
+    sets = [[1, i] for i in range(2, 71)] + [list(range(2, 71))]
+    path.write_text(json.dumps({"n": 70, "minimal_sets": sets}))
+    code, out, _ = run_cli(capsys, "msp", "--structure", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "207 138 2"
+
+
 def test_entropy_text(capsys, tri_path):
     code, out, _ = run_cli(capsys, "entropy", "--structure", tri_path, "--set", "1,2")
     assert code == 0

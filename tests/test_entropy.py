@@ -259,7 +259,8 @@ def test_secret_spec_rejects_fields_below_two():
             SecretSpec.uniform(q)
 
 
-def test_realize_enumerates_the_dual_once_pure_twice_purified(monkeypatch, triangle, fan):
+def test_realize_builds_no_dual(monkeypatch, triangle, fan):
+    """classify and purify read self-duality off the authorization table."""
     from spanshare import access
 
     calls = []
@@ -271,10 +272,18 @@ def test_realize_enumerates_the_dual_once_pure_twice_purified(monkeypatch, trian
 
     monkeypatch.setattr(access, "dual", counting_dual)
     realize(triangle, 2)
-    assert len(calls) == 1
-    calls.clear()
+    assert len(calls) == 0
     realize(fan, 2)
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+def test_secret_entropy_is_summed_once(monkeypatch):
+    secret = SecretSpec(3, (0.5, 0.25, 0.25))
+    calls = []
+    log2 = math.log2
+    monkeypatch.setattr(math, "log2", lambda x: calls.append(x) or log2(x))
+    assert [secret.entropy_bits for _ in range(3)] == [1.5, 1.5, 1.5]
+    assert len(calls) == 3  # one per probability, however often it is read
 
 
 def test_rank_total_is_the_rank_of_the_whole_matrix():
