@@ -1,8 +1,8 @@
 """Quantum secret sharing schemes from normal-form monotone span programs.
 
 Build an access structure, realize it as a span program, read share
-entropies off matrix ranks, and cross-check everything against a dense
-state-vector simulation.
+entropies off matrix ranks, and cross-check everything against a
+simulation that reduces the encoded states' codeword sets.
 """
 
 from .access import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -45,15 +45,13 @@ def _check_cap(n: int):
 
 
 def subsets_in_order(players):
-    """All subsets of `players` ordered by size, then lexicographically."""
-    players = tuple(players)
-    n = len(players)
-    masks = sorted(
-        range(1 << n),
-        key=lambda m: (bin(m).count("1"), [p for i, p in enumerate(players) if m >> i & 1]),
-    )
-    for m in masks:
-        yield tuple(p for i, p in enumerate(players) if m >> i & 1)
+    """All subsets of `players` as sorted tuples, by size, then lexicographically.
+
+    `combinations` of the sorted players yields each size in exactly
+    that order, so nothing is sorted.
+    """
+    players = tuple(sorted(players))
+    return (c for k in range(len(players) + 1) for c in combinations(players, k))
 
 
 @dataclass(frozen=True)
@@ -273,7 +271,7 @@ def enumerate_structures(
     """
     if n > 6:
         raise ValueError("structure enumeration is for small n only")
-    all_masks = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), _members(m)))
+    all_masks = [_mask(s, n) for s in subsets_in_order(range(1, n + 1))][1:]
     full = (1 << n) - 1
 
     def compatible(m: int, chosen: list[int]) -> bool:

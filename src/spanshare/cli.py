@@ -173,8 +173,7 @@ def _verify_oracle(args, g, secret, emit) -> int:
             file=sys.stderr,
         )
         return _verify_theorem(args, g, secret, emit, rz, "OK (formula only)")
-    mismatches = oracle.compare_with_formula(rz, secret, args.cap)
-    secrecy = oracle.verify_secrecy_recoverability(rz, secret, args.cap)
+    mismatches, secrecy = oracle.verify_scheme(rz, secret, args.cap)
     if mismatches or not secrecy.ok():
         for m in mismatches:
             emit(
@@ -225,7 +224,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
         p.add_argument("--secret", help="comma-separated secret distribution")
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help="amplitude cap")
+        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help="oracle's largest q^d")
         p.add_argument("--out", help="write output to this path instead of stdout")
         if name == "entropy":
             p.add_argument("--set", dest="subset", required=True, help="players, e.g. 1,2")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 
@@ -437,18 +437,19 @@ def to_css(msp: MonotoneSpanProgram, layout: NormalFormLayout) -> CssForm:
     )
 
 
-def encoding_image(msp: MonotoneSpanProgram, s: int) -> frozenset[Vector]:
-    """All codewords M u with the secret coordinate of u fixed to s.
+def codewords(msp: MonotoneSpanProgram) -> np.ndarray:
+    """Every codeword M u, shape (q, q^(e-1), d), row s holding those with u_0 = s:
+    one product mod q over all u in F_q^e, enumerated big-endian."""
+    q, e = msp.field.q, msp.matrix.cols
+    u = np.arange(q**e)[:, None] // q ** np.arange(e - 1, -1, -1) % q
+    m = np.array(msp.matrix.entries, dtype=np.int64).reshape(msp.matrix.rows, e)
+    return (u @ m.T % q).reshape(q, q ** (e - 1), msp.matrix.rows)
 
-    Direct enumeration over the q^(e-1) free coordinates; the
-    independent route against which the coset form is checked.
-    """
-    q = msp.field.q
-    e = msp.matrix.cols
-    out = set()
-    for rest in product(range(q), repeat=e - 1):
-        out.add(msp.matrix.mul_vector((s % q,) + rest))
-    return frozenset(out)
+
+def encoding_image(msp: MonotoneSpanProgram, s: int) -> frozenset[Vector]:
+    """All codewords M u with u_0 = s, as a set view of `codewords`; the
+    coset form is checked against it."""
+    return frozenset(map(tuple, codewords(msp)[s % msp.field.q].tolist()))
 
 
 def dispensable_rows(msp: MonotoneSpanProgram, g: AccessStructure) -> list[int]:

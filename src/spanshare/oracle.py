@@ -1,14 +1,17 @@
-"""Dense state-vector oracle for the span-program schemes.
+"""Codeword oracle for the span-program schemes.
 
 The encoding map sends a basis secret s to the uniform superposition
-over the codewords M u whose secret coordinate is s. This module
-builds those states explicitly, reduces them onto share coordinates,
-and measures von Neumann entropies by eigendecomposition. Secrecy is
+over its N = q^(e-1) codewords M u with secret coordinate s. The sweep
+never builds that q^d state vector: grouping the codewords by their
+digits on a subset's coordinates and on the rest gives per-secret 0/1
+blocks V_s with rho_s = V_s V_s^T / N, each array at most q^(d+1)
+entries and each spectrum taken on the smaller side. Secrecy is
 decided by the trace distance between the per-secret reductions and
 recoverability by their overlap Tr(rho_s rho_t), which for positive
 operators is zero exactly when their supports are orthogonal. It
 shares no code path with the rank formula, so agreement between the
-two is evidence, not tautology.
+two is evidence, not tautology. `encode_secret`, `reduced_entropy` and
+`dump_state` are the dense reference the tests hold the sweep to.
 
 Basis convention: a codeword (y_1, ..., y_d) maps to the amplitude
 index sum(y_j * q^(d-j)), i.e. big-endian with coordinate 1 most
@@ -25,9 +28,9 @@ import numpy as np
 
 from .access import is_authorized, subsets_in_order
 from .entropy import SchemeRealization, SecretSpec, subset_report
-from .msp import MonotoneSpanProgram, encoding_image
+from .msp import MonotoneSpanProgram, codewords
 
-DEFAULT_CAP = 2**22  # maximum number of amplitudes in a state vector
+DEFAULT_CAP = 2**22  # maximum q^d, the basis strings of the d codeword digits
 
 EIG_CLIP = 1e-12  # eigenvalues below this count as zero in entropies
 
@@ -50,7 +53,7 @@ class PureState:
 
 
 def exceeds_cap(q: int, d: int, cap: int) -> bool:
-    """True when a state vector of q^d amplitudes is over the cap."""
+    """True when the q^d basis strings are over the cap."""
     return q**d > cap
 
 
@@ -71,15 +74,10 @@ def basis_string(index: int, q: int, d: int) -> str:
 
 def encode_secret(msp: MonotoneSpanProgram, s: int, cap: int = DEFAULT_CAP) -> PureState:
     """Equal superposition over the q^(e-1) codewords with secret s."""
-    q = msp.field.q
-    d, e = msp.matrix.rows, msp.matrix.cols
-    if exceeds_cap(q, d, cap):
-        raise ValueError(f"state of q^d = {q}^{d} amplitudes exceeds the cap {cap}")
-    indices = sorted(basis_index(cw, q) for cw in encoding_image(msp, s))
-    if len(indices) != q ** (e - 1):
-        raise ValueError("encoding collides; the program is not in normal form")
+    q, d = msp.field.q, msp.matrix.rows
+    index = _encode(msp, cap)[s % q] @ q ** np.arange(d - 1, -1, -1)
     amplitudes = np.zeros(q**d, dtype=complex)
-    amplitudes[indices] = 1.0 / math.sqrt(len(indices))
+    amplitudes[index] = 1.0 / math.sqrt(len(index))
     return PureState(q, d, amplitudes)
 
 
@@ -119,30 +117,58 @@ def reduced_entropy(state: PureState, coords) -> float:
     return entropy_bits_of(_reduce_pure(state, tuple(sorted(coords))))
 
 
-def _encoded_states(rz: SchemeRealization, cap: int) -> list[PureState]:
-    states = [encode_secret(rz.program, s, cap) for s in range(rz.q)]
-    supports = [set(np.nonzero(st.amplitudes)[0].tolist()) for st in states]
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if supports[i] & supports[j]:
-                raise RuntimeError("secret cosets overlap; encodings are not orthogonal")
-    return states
+def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
+    """`codewords`, checked: within the cap, no collision, disjoint cosets."""
+    q, d = msp.field.q, msp.matrix.rows
+    if exceeds_cap(q, d, cap):
+        raise ValueError(f"state of q^d = {q}^{d} amplitudes exceeds the cap {cap}")
+    digits = codewords(msp)
+    index = np.sort(digits @ q ** np.arange(d - 1, -1, -1), axis=1)
+    if (index[:, 1:] == index[:, :-1]).any():
+        raise ValueError("encoding collides; the program is not in normal form")
+    if len(np.unique(index)) < index.size:
+        raise RuntimeError("secret cosets overlap; encodings are not orthogonal")
+    return digits
+
+
+def _reduce(digits: np.ndarray, kept) -> list[np.ndarray]:
+    """Per-secret reductions onto the coordinates `kept` (0-based).
+
+    V has a 1 per codeword, in the row of its digits on `kept` and the
+    column of (its secret, its other digits); rho_s = V_s V_s^T / N for
+    secret s's columns V_s. With more rows than columns, V = QR and
+    R_s R_t^T = Q^T V_s V_t^T Q keeps spectra, overlaps and trace distances.
+    """
+    q, size, d = digits.shape
+    rest = np.setdiff1d(np.arange(d), kept)
+
+    def patterns(coords, offset=0):
+        keys = digits[..., coords] @ q ** np.arange(len(coords)) + offset
+        return np.unique(keys.ravel(), return_inverse=True)
+
+    rows, a = patterns(kept)
+    # Keyed secret first, so each secret's columns are one contiguous block.
+    cols, r = patterns(rest, np.arange(q)[:, None] * q ** len(rest))
+    v = np.zeros((len(rows), len(cols)))
+    v[a, r] = 1.0
+    if len(rows) > len(cols):
+        v = np.linalg.qr(v, mode="r")
+    blocks = np.split(v, np.searchsorted(cols // q ** len(rest), np.arange(1, q)), axis=1)
+    return [b @ b.T / size for b in blocks]
 
 
 def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
-    """Yield (subset, per-secret reductions) for each subset, by default all.
+    """Encode now; then lazily yield (subset, per-secret reductions), by default for all.
 
-    The q encoded states are built once per sweep. A player holds the
-    coordinates of its rows (coordinate = row + 1). For purified
-    realizations the hidden share is never in a subset, so its
-    coordinates are always traced out.
+    A player holds the coordinates of its rows (coordinate = row + 1).
+    For purified realizations the hidden share is never in a subset, so
+    its coordinates are always traced out.
     """
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
-    states = _encoded_states(rz, cap)
-    for subset in subsets_in_order(rz.structure.players) if subsets is None else subsets:
-        coords = tuple(i + 1 for i in rz.program.rows_of(subset))
-        yield subset, [_reduce_pure(st, coords) for st in states]
+    digits = _encode(rz.program, cap)
+    subsets = subsets_in_order(rz.structure.players) if subsets is None else subsets
+    return ((a, _reduce(digits, rz.program.rows_of(a))) for a in subsets)
 
 
 def _mixture_entropy(reductions, secret: SecretSpec) -> float:
@@ -154,11 +180,7 @@ def _mixture_entropy(reductions, secret: SecretSpec) -> float:
 def oracle_subset_entropy(
     rz: SchemeRealization, secret: SecretSpec, a, cap: int = DEFAULT_CAP
 ) -> float:
-    """Entropy in bits of the shares of `a` under the scheme density.
-
-    Computed from per-secret pure-state reductions, which is the same
-    operator as reducing the full mixture but never materializes it.
-    """
+    """Entropy in bits of the shares of `a` under the scheme density."""
     a = tuple(sorted(set(a)))
     if not set(a) <= set(rz.structure.players):
         raise ValueError(f"subset {a} contains unknown players")
@@ -191,28 +213,28 @@ class SecrecyReport:
         return not self.secrecy_violations and not self.recoverability_violations
 
 
+def _secrecy_report(rz: SchemeRealization, secret: SecretSpec, sweep) -> SecrecyReport:
+    if any(p <= 0 for p in secret.distribution):
+        raise ValueError("secrecy sweep needs a full-support secret distribution")
+    found: dict[bool, list] = {False: [], True: []}  # authorized -> violations
+    checked = 0
+    for subset, reductions in sweep:
+        checked += 1
+        authorized = is_authorized(rz.structure, subset)
+        for s, t in combinations(range(rz.q), 2):
+            rho, sigma = reductions[s], reductions[t]
+            # Overlap Tr(rho sigma) on authorized sets, trace distance on the others.
+            x = float(np.vdot(sigma, rho).real) if authorized else trace_distance(rho, sigma)
+            if x >= 1e-9:
+                found[authorized].append((subset, s, t, x))
+    return SecrecyReport(checked, tuple(found[False]), tuple(found[True]))
+
+
 def verify_secrecy_recoverability(
     rz: SchemeRealization, secret: SecretSpec, cap: int = DEFAULT_CAP
 ) -> SecrecyReport:
     """Sweep every subset of the original players for both guarantees."""
-    if any(p <= 0 for p in secret.distribution):
-        raise ValueError("secrecy sweep needs a full-support secret distribution")
-    secrecy = []
-    recoverability = []
-    checked = 0
-    for subset, reductions in _sweep(rz, secret, cap):
-        checked += 1
-        authorized = is_authorized(rz.structure, subset)
-        for s, t in combinations(range(rz.q), 2):
-            if authorized:
-                overlap = float(np.vdot(reductions[t], reductions[s]).real)
-                if overlap >= 1e-9:
-                    recoverability.append((subset, s, t, overlap))
-            else:
-                td = trace_distance(reductions[s], reductions[t])
-                if td >= 1e-9:
-                    secrecy.append((subset, s, t, td))
-    return SecrecyReport(checked, tuple(secrecy), tuple(recoverability))
+    return _secrecy_report(rz, secret, _sweep(rz, secret, cap))
 
 
 @dataclass(frozen=True)
@@ -221,9 +243,15 @@ class FormulaDiscrepancy:
     formula_bits: float
     oracle_bits: float
 
-    @property
-    def delta(self) -> float:
-        return abs(self.formula_bits - self.oracle_bits)
+
+def _mismatches(rz, secret, sweep, tolerance, into: list):
+    """Pass the sweep through, appending each formula disagreement to `into`."""
+    for subset, reductions in sweep:
+        formula = subset_report(rz, secret, subset).entropy_bits
+        simulated = _mixture_entropy(reductions, secret)
+        if abs(formula - simulated) > tolerance:
+            into.append(FormulaDiscrepancy(subset, formula, simulated))
+        yield subset, reductions
 
 
 def compare_with_formula(
@@ -233,10 +261,18 @@ def compare_with_formula(
     tolerance: float = 1e-6,
 ) -> list[FormulaDiscrepancy]:
     """Check the rank formula against the simulation on every subset."""
-    out = []
-    for subset, reductions in _sweep(rz, secret, cap):
-        formula = subset_report(rz, secret, subset).entropy_bits
-        simulated = _mixture_entropy(reductions, secret)
-        if abs(formula - simulated) > tolerance:
-            out.append(FormulaDiscrepancy(subset, formula, simulated))
+    out: list[FormulaDiscrepancy] = []
+    for _ in _mismatches(rz, secret, _sweep(rz, secret, cap), tolerance, out):
+        pass
     return out
+
+
+def verify_scheme(
+    rz: SchemeRealization, secret: SecretSpec, cap: int = DEFAULT_CAP, tolerance: float = 1e-6
+) -> tuple[list[FormulaDiscrepancy], SecrecyReport]:
+    """`compare_with_formula` and `verify_secrecy_recoverability` from one
+    sweep: one encoding, one reduction per subset. A cap or encoding
+    error comes before the full-support error."""
+    mismatches: list[FormulaDiscrepancy] = []
+    sweep = _mismatches(rz, secret, _sweep(rz, secret, cap), tolerance, mismatches)
+    return mismatches, _secrecy_report(rz, secret, sweep)

@@ -297,3 +297,21 @@ def test_json_rejects_non_integers():
     ):
         with pytest.raises(ValueError, match="integer"):
             structure_from_json(text)
+
+
+def _key_sorted_subsets(players):
+    """Reference order: every mask sorted by popcount, then by its member list."""
+    masks = sorted(
+        range(1 << len(players)),
+        key=lambda m: (bin(m).count("1"), [p for i, p in enumerate(players) if m >> i & 1]),
+    )
+    return [tuple(p for i, p in enumerate(players) if m >> i & 1) for m in masks]
+
+
+def test_subsets_in_order_matches_the_key_sort():
+    for n in range(9):
+        sparse = (2, 5, 7, 11, 64, 65, 90, 100)[:n]
+        for players in (tuple(range(1, n + 1)), tuple(range(3, 3 + 2 * n, 2)), sparse):
+            assert list(access.subsets_in_order(players)) == _key_sorted_subsets(players)
+    # Players are taken as a set: any order of them gives the sorted order's subsets.
+    assert list(access.subsets_in_order((7, 2, 5))) == _key_sorted_subsets((2, 5, 7))

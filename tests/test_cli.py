@@ -154,6 +154,15 @@ def test_verify_oracle_fan(capsys, fan_path):
     assert out == "OK: 8/8 subsets match; secrecy OK; recoverability OK\n"
 
 
+def test_verify_oracle_star_hub2_at_q3(capsys, tmp_path):
+    # 3^9 amplitudes; a dense reduction onto all four players would take 5.8 GiB.
+    path = tmp_path / "star.json"
+    path.write_text('{"n": 4, "minimal_sets": [[1,2],[2,3],[2,4],[1,3,4]]}')
+    code, out, _ = run_cli(capsys, "verify-oracle", "--structure", str(path), "--q", "3")
+    assert code == 0
+    assert out == "OK: 16/16 subsets match; secrecy OK; recoverability OK\n"
+
+
 def test_verify_oracle_degrades_when_capped(capsys, tri_path):
     code, out, err = run_cli(
         capsys, "verify-oracle", "--structure", tri_path, "--cap", "32"
@@ -312,7 +321,7 @@ def test_memory_error_is_input_error(capsys, tri_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 5.77 GiB")
 
-    monkeypatch.setattr(cli.oracle, "compare_with_formula", exhausted)
+    monkeypatch.setattr(cli.oracle, "verify_scheme", exhausted)
     code, out, err = run_cli(capsys, "verify-oracle", "--structure", tri_path)
     assert_one_line_error(code, out, err)
     assert "5.77 GiB" in err

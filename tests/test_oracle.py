@@ -1,25 +1,36 @@
 """State-vector oracle: encodings, reductions, secrecy, formula checks."""
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from spanshare.access import from_minimal_sets
+from spanshare import cli, oracle
+from spanshare.access import enumerate_structures, from_minimal_sets, is_authorized
 from spanshare.entropy import SchemeRealization, SecretSpec, realize, subset_report
-from spanshare.msp import build_normal_form, to_css
+from spanshare.fields import FieldMatrix
+from spanshare.msp import MonotoneSpanProgram, build_normal_form, to_css
 from spanshare.oracle import (
     PureState,
+    _mixture_entropy,
+    _reduce_pure,
+    _sweep,
     basis_index,
     basis_string,
     compare_with_formula,
     dump_state,
     encode_secret,
+    entropy_bits_of,
     oracle_subset_entropy,
     reduced_entropy,
     trace_distance,
+    verify_scheme,
     verify_secrecy_recoverability,
 )
+
+STAR_HUB2_SETS = [[1, 2], [2, 3], [2, 4], [1, 3, 4]]
 
 TRIANGLE_COSET_0 = {
     "000000", "110000", "001100", "000011", "111100", "110011", "001111", "111111",
@@ -253,3 +264,168 @@ def test_formula_and_oracle_disagree_on_nothing_but_match_reports(
         formula = subset_report(triangle_rz, uniform2, subset).entropy_bits
         oracle_bits = oracle_subset_entropy(triangle_rz, uniform2, subset)
         assert abs(formula - oracle_bits) < 1e-10
+
+
+def small_schemes():
+    """Every connected realizable structure with n <= 4 and d <= 9, at q = 2 and 3."""
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            for q in (2, 3):
+                rz = realize(g, q)
+                if rz.program.matrix.rows <= 9:
+                    yield rz
+
+
+def dense_measures(rz, secret, subset):
+    """Mixture entropy and per-pair measures of `subset` from dense state vectors.
+
+    Pairs run over combinations(range(q), 2): overlaps Tr(rho_s rho_t)
+    on authorized sets, trace distances on the others, as the secrecy
+    sweep uses them. Each is taken on the smaller side: the entropy
+    from the purification sum_s sqrt(p_s)|psi_s>|s> reduced onto the
+    complement when that is smaller, and the overlap as
+    ||M_s^+ M_t||_F^2, M_s the amplitudes as a q^c x q^(d-c) matrix.
+    """
+    q, d = rz.q, rz.program.matrix.rows
+    coords = coords_of(rz.program, subset)
+    rest = [c for c in range(1, d + 1) if c not in coords]
+    states = [encode_secret(rz.program, s) for s in range(q)]
+    pairs = list(combinations(range(q), 2))
+    if len(coords) <= len(rest) + 1:
+        mixture = sum(p * _reduce_pure(st, coords) for p, st in zip(secret.distribution, states))
+        entropy = entropy_bits_of(mixture)
+    else:
+        weighted = [math.sqrt(p) * st.amplitudes for p, st in zip(secret.distribution, states)]
+        purified = PureState(q, d + 1, np.stack(weighted, axis=1).ravel())
+        entropy = reduced_entropy(purified, rest + [d + 1])
+    if not is_authorized(rz.structure, subset):
+        reds = [_reduce_pure(st, coords) for st in states]
+        return entropy, [trace_distance(reds[s], reds[t]) for s, t in pairs]
+    if len(coords) <= len(rest):
+        reds = [_reduce_pure(st, coords) for st in states]
+        return entropy, [np.vdot(reds[t], reds[s]).real for s, t in pairs]
+    order = [c - 1 for c in coords + tuple(rest)]
+    shape = (q ** len(coords), -1)
+    mats = [st.amplitudes.reshape([q] * d).transpose(order).reshape(shape) for st in states]
+    return entropy, [np.linalg.norm(mats[s].conj().T @ mats[t]) ** 2 for s, t in pairs]
+
+
+def assert_sweep_matches_dense(rz, secret):
+    pairs = list(combinations(range(rz.q), 2))
+    for subset, reductions in _sweep(rz, secret, oracle.DEFAULT_CAP):
+        entropy, measures = dense_measures(rz, secret, subset)
+        assert abs(_mixture_entropy(reductions, secret) - entropy) < 1e-10, subset
+        if is_authorized(rz.structure, subset):
+            swept = [np.vdot(reductions[t], reductions[s]).real for s, t in pairs]
+        else:
+            swept = [trace_distance(reductions[s], reductions[t]) for s, t in pairs]
+        assert np.allclose(swept, measures, rtol=0, atol=1e-10), subset
+
+
+def test_sweep_matches_dense_reference_on_small_schemes():
+    schemes = list(small_schemes())
+    assert len(schemes) == 22
+    named = [[[1, 2], [1, 3], [2, 3]], [[1, 2], [1, 3]], STAR_HUB2_SETS]  # triangle, fan
+    covered = {(rz.structure.minimal_sets, rz.q) for rz in schemes}
+    assert covered >= {(tuple(map(tuple, sets)), q) for sets in named for q in (2, 3)}
+    for rz in schemes:
+        biased = SecretSpec(rz.q, (0.9, 0.1) if rz.q == 2 else (0.5, 0.3, 0.2))
+        for secret in (SecretSpec.uniform(rz.q), biased):
+            assert_sweep_matches_dense(rz, secret)
+
+
+def flipped(rz, row, col, value=None):
+    """`rz` with one program-matrix entry set to `value` (default: raised
+    by 1 mod q), or a whole column when `row` is None; the layout is kept."""
+    entries = [list(r) for r in rz.program.matrix.entries]
+    for i in range(len(entries)) if row is None else [row]:
+        entries[i][col] = (entries[i][col] + 1) % rz.q if value is None else value
+    field = rz.program.field
+    matrix = FieldMatrix(field, tuple(map(tuple, entries)), rz.program.matrix.cols)
+    program = MonotoneSpanProgram(field, matrix, rz.program.psi)
+    return SchemeRealization(rz.structure, program, rz.layout, rz.hidden_player)
+
+
+def test_flipped_program_entry_is_caught_and_matches_dense(triangle_rz, fan_rz, uniform2):
+    # The sweep reads the program matrix, the formula the layout, so a
+    # corrupted matrix shows: row 1, player 2's closing row of block
+    # (1, 2), loses its band entry and hands player 2 the secret.
+    mismatches, report = verify_scheme(flipped(triangle_rz, 1, 1), uniform2)
+    assert [m.subset for m in mismatches] == [(1,), (1, 3), (2, 3)]
+    assert [v[:3] for v in report.secrecy_violations] == [((2,), 0, 1)]
+    # Every flip, on the fan too: its flips reach cases of `_reduce`'s QR
+    # branch (V taller than wide) that the triangle's do not.
+    for rz in (triangle_rz, fan_rz):
+        for row in range(rz.program.matrix.rows):
+            for col in range(rz.program.matrix.cols):
+                bad = flipped(rz, row, col)
+                try:
+                    oracle._encode(bad.program, oracle.DEFAULT_CAP)
+                except (ValueError, RuntimeError):
+                    continue  # encode_secret refuses it the same way
+                assert_sweep_matches_dense(bad, uniform2)
+
+
+def test_encoding_checks_collisions_and_coset_overlap(triangle_rz, uniform2):
+    # A zero band column leaves one free coordinate unused: codewords repeat.
+    band_zero = flipped(triangle_rz, None, 1, 0)
+    with pytest.raises(ValueError, match="encoding collides"):
+        verify_scheme(band_zero, uniform2)
+    with pytest.raises(ValueError, match="encoding collides"):
+        encode_secret(band_zero.program, 0)
+    # A zero secret column gives every secret the same coset.
+    with pytest.raises(RuntimeError, match="secret cosets overlap"):
+        verify_scheme(flipped(triangle_rz, None, 0, 0), uniform2)
+
+
+def test_verify_oracle_encodes_once_and_reduces_each_subset_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "fan.json"
+    path.write_text('{"n": 3, "minimal_sets": [[1,2],[1,3]]}')
+    calls = {"codewords": 0, "reduce": []}
+    real_codewords, real_reduce = oracle.codewords, oracle._reduce
+
+    def counted_codewords(msp):
+        calls["codewords"] += 1
+        return real_codewords(msp)
+
+    def counted_reduce(digits, kept):
+        calls["reduce"].append(tuple(kept))
+        return real_reduce(digits, kept)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the sweep built a dense state")
+
+    monkeypatch.setattr(oracle, "codewords", counted_codewords)
+    monkeypatch.setattr(oracle, "_reduce", counted_reduce)
+    for name in ("encode_secret", "_reduce_pure", "reduced_entropy", "PureState"):
+        monkeypatch.setattr(oracle, name, dense)
+    assert cli.main(["verify-oracle", "--structure", str(path), "--q", "3"]) == 0
+    assert capsys.readouterr().out == "OK: 8/8 subsets match; secrecy OK; recoverability OK\n"
+    assert calls["codewords"] == 1
+    assert len(calls["reduce"]) == len(set(calls["reduce"])) == 8
+
+
+@pytest.mark.parametrize("sets", [STAR_HUB2_SETS, [[1, 2], [1, 3]]], ids=["star_hub2", "fan"])
+def test_sweep_memory_is_bounded_by_the_cap(sets):
+    # At the smallest cap that runs it, every array holds at most
+    # q * cap = q^(d+1) entries; a few are live at once. The dense
+    # route needed a 5.8 GiB operator for STAR_HUB2 at q = 3.
+    rz = realize(from_minimal_sets(max(map(max, sets)), sets), 3)
+    cap = 3**rz.program.matrix.rows
+    tracemalloc.start()
+    try:
+        mismatches, report = verify_scheme(rz, SecretSpec.uniform(3), cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mismatches == [] and report.ok()
+    assert peak < 16 * 8 * 3 * cap
+
+
+def test_verify_scheme_reports_the_cap_before_the_support(triangle_rz):
+    point = SecretSpec.point(2, 0)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        verify_scheme(triangle_rz, point, cap=32)
+    with pytest.raises(ValueError, match="full-support"):
+        verify_scheme(triangle_rz, point)
+    assert compare_with_formula(triangle_rz, point) == []
