@@ -438,18 +438,25 @@ def to_css(msp: MonotoneSpanProgram, layout: NormalFormLayout) -> CssForm:
 
 
 def codewords(msp: MonotoneSpanProgram) -> np.ndarray:
-    """Every codeword M u, shape (q, q^(e-1), d), row s holding those with u_0 = s:
-    one product mod q over all u in F_q^e, enumerated big-endian."""
+    """Every codeword M u as its basis index sum(y_j * q^(d-j)), shape
+    (q, q^(e-1)), row s holding those with u_0 = s, u enumerated big-endian.
+    Built one coordinate y_j at a time: no array has more than q^e entries."""
     q, e = msp.field.q, msp.matrix.cols
-    u = np.arange(q**e)[:, None] // q ** np.arange(e - 1, -1, -1) % q
-    m = np.array(msp.matrix.entries, dtype=np.int64).reshape(msp.matrix.rows, e)
-    return (u @ m.T % q).reshape(q, q ** (e - 1), msp.matrix.rows)
+    index = np.zeros(q**e, dtype=np.int64)
+    for row in msp.matrix.entries:
+        y = np.zeros(1, dtype=np.int64)
+        for m in row:
+            y = (y[:, None] + m * np.arange(q)).ravel()
+        index = index * q + y % q
+    return index.reshape(q, q ** (e - 1))
 
 
 def encoding_image(msp: MonotoneSpanProgram, s: int) -> frozenset[Vector]:
     """All codewords M u with u_0 = s, as a set view of `codewords`; the
     coset form is checked against it."""
-    return frozenset(map(tuple, codewords(msp)[s % msp.field.q].tolist()))
+    q, d = msp.field.q, msp.matrix.rows
+    digits = codewords(msp)[s % q][:, None] // q ** np.arange(d - 1, -1, -1) % q
+    return frozenset(map(tuple, digits.tolist()))
 
 
 def dispensable_rows(msp: MonotoneSpanProgram, g: AccessStructure) -> list[int]:

@@ -2,10 +2,11 @@
 
 The encoding map sends a basis secret s to the uniform superposition
 over its N = q^(e-1) codewords M u with secret coordinate s. The sweep
-never builds that q^d state vector: grouping the codewords by their
-digits on a subset's coordinates and on the rest gives per-secret 0/1
-blocks V_s with rho_s = V_s V_s^T / N, each array at most q^(d+1)
-entries and each spectrum taken on the smaller side. Secrecy is
+never builds that q^d state vector: it holds the q^e codewords as basis
+indices, and grouping them by their digits on a subset's coordinates
+and on the rest gives per-secret 0/1 blocks V_s with
+rho_s = V_s V_s^T / N, each array at most q^(d+1) entries and each
+spectrum taken on the smaller side. Secrecy is
 decided by the trace distance between the per-secret reductions and
 recoverability by their overlap Tr(rho_s rho_t), which for positive
 operators is zero exactly when their supports are orthogonal. It
@@ -33,6 +34,8 @@ from .msp import MonotoneSpanProgram, codewords
 DEFAULT_CAP = 2**22  # maximum q^d, the basis strings of the d codeword digits
 
 EIG_CLIP = 1e-12  # eigenvalues below this count as zero in entropies
+
+FORMULA_TOLERANCE = 1e-6  # bits by which the simulation may differ from the formula
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def basis_string(index: int, q: int, d: int) -> str:
 def encode_secret(msp: MonotoneSpanProgram, s: int, cap: int = DEFAULT_CAP) -> PureState:
     """Equal superposition over the q^(e-1) codewords with secret s."""
     q, d = msp.field.q, msp.matrix.rows
-    index = _encode(msp, cap)[s % q] @ q ** np.arange(d - 1, -1, -1)
+    index = _encode(msp, cap)[s % q]
     amplitudes = np.zeros(q**d, dtype=complex)
     amplitudes[index] = 1.0 / math.sqrt(len(index))
     return PureState(q, d, amplitudes)
@@ -122,38 +125,38 @@ def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
     q, d = msp.field.q, msp.matrix.rows
     if exceeds_cap(q, d, cap):
         raise ValueError(f"state of q^d = {q}^{d} amplitudes exceeds the cap {cap}")
-    digits = codewords(msp)
-    index = np.sort(digits @ q ** np.arange(d - 1, -1, -1), axis=1)
-    if (index[:, 1:] == index[:, :-1]).any():
+    index = codewords(msp)
+    ordered = np.sort(index, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError("encoding collides; the program is not in normal form")
-    if len(np.unique(index)) < index.size:
+    if len(np.unique(ordered)) < ordered.size:
         raise RuntimeError("secret cosets overlap; encodings are not orthogonal")
-    return digits
+    return index
 
 
-def _reduce(digits: np.ndarray, kept) -> list[np.ndarray]:
+def _reduce(index: np.ndarray, kept, d: int) -> list[np.ndarray]:
     """Per-secret reductions onto the coordinates `kept` (0-based).
 
-    V has a 1 per codeword, in the row of its digits on `kept` and the
-    column of (its secret, its other digits); rho_s = V_s V_s^T / N for
-    secret s's columns V_s. With more rows than columns, V = QR and
-    R_s R_t^T = Q^T V_s V_t^T Q keeps spectra, overlaps and trace distances.
+    `index` holds each secret's codewords as basis indices. V has a 1 per
+    codeword, in the row of its digits on `kept` and the column of (its
+    secret, its other digits); rho_s = V_s V_s^T / N for secret s's
+    columns V_s. With more rows than columns, V = QR and
+    R_s R_t^T = Q^T V_s V_t^T Q keeps spectra, overlaps and trace
+    distances. Keys have q^e entries and V at most q^(d+1).
     """
-    q, size, d = digits.shape
-    rest = np.setdiff1d(np.arange(d), kept)
-
-    def patterns(coords, offset=0):
-        keys = digits[..., coords] @ q ** np.arange(len(coords)) + offset
-        return np.unique(keys.ravel(), return_inverse=True)
-
-    rows, a = patterns(kept)
+    q, size = index.shape
+    on_kept = np.zeros_like(index)
+    for place in q ** (d - 1 - np.asarray(kept, dtype=np.int64)):
+        on_kept += index // place % q * place
+    rows, a = np.unique(on_kept.ravel(), return_inverse=True)
     # Keyed secret first, so each secret's columns are one contiguous block.
-    cols, r = patterns(rest, np.arange(q)[:, None] * q ** len(rest))
+    off_kept = index - on_kept + np.arange(q)[:, None] * q**d
+    cols, r = np.unique(off_kept.ravel(), return_inverse=True)
     v = np.zeros((len(rows), len(cols)))
     v[a, r] = 1.0
     if len(rows) > len(cols):
         v = np.linalg.qr(v, mode="r")
-    blocks = np.split(v, np.searchsorted(cols // q ** len(rest), np.arange(1, q)), axis=1)
+    blocks = np.split(v, np.searchsorted(cols // q**d, np.arange(1, q)), axis=1)
     return [b @ b.T / size for b in blocks]
 
 
@@ -166,9 +169,9 @@ def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
     """
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
-    digits = _encode(rz.program, cap)
+    index, d = _encode(rz.program, cap), rz.program.matrix.rows
     subsets = subsets_in_order(rz.structure.players) if subsets is None else subsets
-    return ((a, _reduce(digits, rz.program.rows_of(a))) for a in subsets)
+    return ((a, _reduce(index, rz.program.rows_of(a), d)) for a in subsets)
 
 
 def _mixture_entropy(reductions, secret: SecretSpec) -> float:
@@ -258,7 +261,7 @@ def compare_with_formula(
     rz: SchemeRealization,
     secret: SecretSpec,
     cap: int = DEFAULT_CAP,
-    tolerance: float = 1e-6,
+    tolerance: float = FORMULA_TOLERANCE,
 ) -> list[FormulaDiscrepancy]:
     """Check the rank formula against the simulation on every subset."""
     out: list[FormulaDiscrepancy] = []
@@ -268,11 +271,11 @@ def compare_with_formula(
 
 
 def verify_scheme(
-    rz: SchemeRealization, secret: SecretSpec, cap: int = DEFAULT_CAP, tolerance: float = 1e-6
+    rz: SchemeRealization, secret: SecretSpec, cap: int = DEFAULT_CAP
 ) -> tuple[list[FormulaDiscrepancy], SecrecyReport]:
     """`compare_with_formula` and `verify_secrecy_recoverability` from one
     sweep: one encoding, one reduction per subset. A cap or encoding
     error comes before the full-support error."""
     mismatches: list[FormulaDiscrepancy] = []
-    sweep = _mismatches(rz, secret, _sweep(rz, secret, cap), tolerance, mismatches)
+    sweep = _mismatches(rz, secret, _sweep(rz, secret, cap), FORMULA_TOLERANCE, mismatches)
     return mismatches, _secrecy_report(rz, secret, sweep)

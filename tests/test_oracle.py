@@ -388,9 +388,9 @@ def test_verify_oracle_encodes_once_and_reduces_each_subset_once(capsys, tmp_pat
         calls["codewords"] += 1
         return real_codewords(msp)
 
-    def counted_reduce(digits, kept):
+    def counted_reduce(index, kept, d):
         calls["reduce"].append(tuple(kept))
-        return real_reduce(digits, kept)
+        return real_reduce(index, kept, d)
 
     def dense(*args, **kwargs):
         raise AssertionError("the sweep built a dense state")
@@ -405,21 +405,26 @@ def test_verify_oracle_encodes_once_and_reduces_each_subset_once(capsys, tmp_pat
     assert len(calls["reduce"]) == len(set(calls["reduce"])) == 8
 
 
-@pytest.mark.parametrize("sets", [STAR_HUB2_SETS, [[1, 2], [1, 3]]], ids=["star_hub2", "fan"])
-def test_sweep_memory_is_bounded_by_the_cap(sets):
+@pytest.mark.parametrize(
+    "sets, q",
+    [(STAR_HUB2_SETS, 3), ([[1, 2], [1, 3]], 3), ([[1, 2, 3], [1, 2, 4], [2, 3, 4]], 2)],
+    ids=["star_hub2", "fan", "d20"],
+)
+def test_sweep_memory_is_bounded_by_the_cap(sets, q):
     # At the smallest cap that runs it, every array holds at most
     # q * cap = q^(d+1) entries; a few are live at once. The dense
-    # route needed a 5.8 GiB operator for STAR_HUB2 at q = 3.
-    rz = realize(from_minimal_sets(max(map(max, sets)), sets), 3)
-    cap = 3**rz.program.matrix.rows
+    # route needed a 5.8 GiB operator for STAR_HUB2 at q = 3 and
+    # 64 GiB for the d = 20 structure at q = 2.
+    rz = realize(from_minimal_sets(max(map(max, sets)), sets), q)
+    cap = q**rz.program.matrix.rows
     tracemalloc.start()
     try:
-        mismatches, report = verify_scheme(rz, SecretSpec.uniform(3), cap)
+        mismatches, report = verify_scheme(rz, SecretSpec.uniform(q), cap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert mismatches == [] and report.ok()
-    assert peak < 16 * 8 * 3 * cap
+    assert peak < 16 * 8 * q * cap
 
 
 def test_verify_scheme_reports_the_cap_before_the_support(triangle_rz):
