@@ -9,7 +9,7 @@ player p) and sorted 1-based tuples externally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import combinations, compress
 
@@ -68,8 +68,10 @@ class AccessStructure:
     n: int
     minimal_sets: tuple[Subset, ...]
     presentation: tuple[Subset, ...] = field(compare=False, default=())
+    # Set only by `from_minimal_sets`, whose containment count already drops supersets.
+    _antichain_counted: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _antichain_counted):
         if self.n < 1:
             raise ValueError("need at least one player")
         if not self.minimal_sets:
@@ -77,7 +79,7 @@ class AccessStructure:
         for s in self.minimal_sets:
             if not s or list(s) != sorted(set(s)):
                 raise ValueError(f"set {s} must be nonempty with ascending members")
-        if (_inside_each(self.masks) > 1).any():
+        if not _antichain_counted and (_inside_each(self.masks) > 1).any():
             raise ValueError("minimal sets must form an antichain")
         if list(self.minimal_sets) != sorted(self.minimal_sets, key=_canon_key):
             raise ValueError("minimal sets must be sorted by size then lexicographically")
@@ -101,6 +103,11 @@ class AccessStructure:
     def authorized_table(self) -> np.ndarray:
         """auth[S] for all 2^n masks S: whether S contains a minimal set."""
         return inside_counts(self.n, self.masks) > 0
+
+    @cached_property
+    def _realizable(self) -> bool:
+        # O(k^2) bit tests, cached: `classify` and `normal_form_layout` both ask.
+        return all((self.masks & m != 0).all() for m in self.masks)
 
 
 def _mask_array(masks: list[int], n: int) -> np.ndarray:
@@ -135,7 +142,7 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
     keep = _inside_each(_mask_array(masks, n)) == 1  # only itself inside
     presentation = tuple(compress(sets, keep))
     canonical = tuple(sorted(map(_members, compress(masks, keep)), key=_canon_key))
-    return AccessStructure(n, canonical, presentation)
+    return AccessStructure(n, canonical, presentation, _antichain_counted=True)
 
 
 def _json_int(value) -> int:
@@ -208,7 +215,7 @@ class StructureClassification:
 
 def is_realizable(g: AccessStructure) -> bool:
     """No-cloning: no two authorized sets, so no two minimal sets, are disjoint."""
-    return all((g.masks & m != 0).all() for m in g.masks)
+    return g._realizable
 
 
 def is_connected(g: AccessStructure) -> bool:

@@ -165,7 +165,7 @@ def _verify_theorem(args, g, secret, emit, rz=None, label="OK") -> int:
 
 def _verify_oracle(args, g, secret, emit) -> int:
     rz = entropy.realize(g, args.q)
-    d = rz.program.matrix.rows
+    d = rz.layout.d
     if oracle.exceeds_cap(args.q, d, args.cap):
         print(
             f"warning: q^d = {args.q}^{d} exceeds cap {args.cap}; "
@@ -215,17 +215,19 @@ COMMANDS = {
 
 
 def _build_parser() -> _Parser:
+    # The options every command takes, built once and shared through `parents`.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--structure", required=True, help="access structure JSON file")
+    common.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
+    common.add_argument("--secret", help="comma-separated secret distribution")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
+    common.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help="oracle's largest q^d")
+    common.add_argument("--out", help="write output to this path instead of stdout")
     parser = _Parser(prog="spanshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         p.set_defaults(handler=handler)
-        p.add_argument("--structure", required=True, help="access structure JSON file")
-        p.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
-        p.add_argument("--secret", help="comma-separated secret distribution")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP, help="oracle's largest q^d")
-        p.add_argument("--out", help="write output to this path instead of stdout")
         if name == "entropy":
             p.add_argument("--set", dest="subset", required=True, help="players, e.g. 1,2")
         if name in ("profile", "tent"):

@@ -61,7 +61,8 @@ import numpy as np
 
 from . import access
 from .access import AccessStructure, Subset, classify, purify, subsets_in_order
-from .msp import MonotoneSpanProgram, NormalFormLayout, build_normal_form
+from .fields import PrimeField
+from .msp import MonotoneSpanProgram, NormalFormLayout, normal_form_layout
 
 
 @dataclass(frozen=True)
@@ -120,21 +121,22 @@ class EntropyReport:
 
 @dataclass(frozen=True)
 class SchemeRealization:
-    """A structure together with the normal-form program realizing it.
+    """A structure together with the normal-form layout realizing it over F_q.
 
-    For non-self-dual structures the program lives on the purified
+    For non-self-dual structures the layout lives on the purified
     structure and `hidden_player` names the extra share; queries are
-    always posed on the original players.
+    always posed on the original players. Entropies read only the
+    layout; `program`, the span program itself, is built on first use.
     """
 
     structure: AccessStructure
-    program: MonotoneSpanProgram
     layout: NormalFormLayout
     hidden_player: int | None
+    q: int
 
-    @property
-    def q(self) -> int:
-        return self.program.field.q
+    @cached_property
+    def program(self) -> MonotoneSpanProgram:
+        return self.layout.program(self.q)
 
     @property
     def full_players(self) -> Subset:
@@ -143,17 +145,20 @@ class SchemeRealization:
 
 
 def realize(g: AccessStructure, q: int = 2) -> SchemeRealization:
-    """Build the normal-form realization, purifying when not self-dual.
+    """The normal-form realization of `g` over F_q, purifying when not self-dual.
 
-    `purify` rejects unrealizable input and `build_normal_form` rejects
-    a player outside every minimal set, which purification keeps outside.
+    `purify` rejects unrealizable input, `normal_form_layout` a player
+    outside every minimal set (which purification keeps outside), and
+    `PrimeField` a q that is not prime, in that order. No matrix is built.
     """
     if classify(g).self_dual:
-        program, layout = build_normal_form(g, q)
-        return SchemeRealization(g, program, layout, None)
-    extended = purify(g)
-    program, layout = build_normal_form(extended, q)
-    return SchemeRealization(g, program, layout, extended.n)
+        realized, hidden = g, None
+    else:
+        realized = purify(g)
+        hidden = realized.n
+    layout = normal_form_layout(realized)
+    PrimeField(q)
+    return SchemeRealization(g, layout, hidden, q)
 
 
 def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport:

@@ -173,23 +173,32 @@ def kernel_basis(m: FieldMatrix) -> list[Vector]:
 def rows_to_text(array: np.ndarray, q: int) -> str:
     """Rows of a canonical 2-D array as lines of space-separated decimals.
 
-    Each entry fills len(str(q - 1)) digit cells and a separator in one
-    uint8 buffer, decoded once; leading zeros are masked out.
+    A one-digit entry and its separator are one little-endian uint16
+    cell; wider entries go through `_padded_text`. The buffer is decoded once.
     """
     if not array.shape[1]:
         return "\n" * len(array)
     width = len(str(q - 1))
+    if width > 1:
+        return _padded_text(array, width)
+    cells = array.astype("<u2", order="C")
+    cells |= ord(" ") << 8 | ord("0")
+    cells.view(np.uint8)[:, -1] = ord("\n")  # the last entry's separator byte
+    return str(memoryview(cells), "ascii")
+
+
+def _padded_text(array: np.ndarray, width: int) -> str:
+    """`rows_to_text` for entries below 10^width: each fills `width` digit
+    cells and a separator in one uint8 buffer; leading zeros are masked out."""
     cells = np.empty((*array.shape, width + 1), dtype=np.uint8)
     cells[:, :, width] = ord(" ")
     cells[:, -1, width] = ord("\n")
     for j in range(width):
         cells[:, :, j] = array // 10 ** (width - 1 - j) % 10 + ord("0")
-    if width > 1:
-        keep = np.ones(cells.shape, dtype=bool)
-        for j in range(width - 1):
-            keep[:, :, j] = array >= 10 ** (width - 1 - j)
-        cells = cells[keep]
-    return str(memoryview(cells), "ascii")
+    keep = np.ones(cells.shape, dtype=bool)
+    for j in range(width - 1):
+        keep[:, :, j] = array >= 10 ** (width - 1 - j)
+    return str(memoryview(cells[keep]), "ascii")
 
 
 def matrix_to_text(m: FieldMatrix) -> str:

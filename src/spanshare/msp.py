@@ -8,7 +8,8 @@ identity block I_{r_i} in a private column band and one closing row
 carrying 1 in the secret column and -1 across the band. The identity
 rows are labeled with the first r_i participants of A_i and the
 closing row with the last, both in presentation order.
-The matrix is laid out once per build, by `NormalFormLayout.array`.
+The matrix is laid out once per build, by `NormalFormLayout.array`, and
+`NormalFormLayout.program` is the one place it becomes a program.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ class NormalFormLayout:
         m[closing[blocks], band] = q - 1
         return m
 
+    def program(self, q: int) -> MonotoneSpanProgram:
+        """The normal-form program over F_q: `array(q)` as tuple rows, labeled by `psi`.
+
+        It has full column rank by construction: the identity rows span
+        every band column, and any closing row then adds the secret column.
+        """
+        fq = PrimeField(q)
+        return MonotoneSpanProgram(fq, FieldMatrix(fq, self.array(q), self.e), self.psi)
+
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Rows per player: entry p counts the minimal sets holding player p (entry 0 is 0)."""
@@ -159,15 +169,9 @@ def normal_form_layout(g: AccessStructure) -> NormalFormLayout:
 def build_normal_form(
     g: AccessStructure, q: int = 2
 ) -> tuple[MonotoneSpanProgram, NormalFormLayout]:
-    """Construct the normal-form program computing `g` over F_q.
-
-    The matrix is `normal_form_layout(g).array(q)`, built once. It has
-    full column rank by construction: the identity rows span every
-    band column, and any closing row then adds the secret column.
-    """
+    """Construct the normal-form program computing `g` over F_q, with its layout."""
     layout = normal_form_layout(g)
-    fq = PrimeField(q)
-    return MonotoneSpanProgram(fq, FieldMatrix(fq, layout.array(q), layout.e), layout.psi), layout
+    return layout.program(q), layout
 
 
 def normal_form_text(g: AccessStructure, q: int = 2) -> str:

@@ -1,5 +1,10 @@
 """Access-structure combinatorics, checked against subset enumeration."""
 
+import json
+from collections import Counter
+from functools import cached_property
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +22,7 @@ from spanshare.access import (
     structure_from_json,
     structure_to_json,
 )
+from spanshare.entropy import realize
 
 from conftest import all_subsets, brute_authorized, brute_dual_minimal_sets
 
@@ -315,3 +321,37 @@ def test_subsets_in_order_matches_the_key_sort():
             assert list(access.subsets_in_order(players)) == _key_sorted_subsets(players)
     # Players are taken as a set: any order of them gives the sorted order's subsets.
     assert list(access.subsets_in_order((7, 2, 5))) == _key_sorted_subsets((2, 5, 7))
+
+
+def test_structure_passes_run_once_per_structure(monkeypatch):
+    # Building a structure counts containment once, and `realize` decides
+    # realizability once per structure it meets: the given one, and for a
+    # non-self-dual one also its purification.
+    calls = Counter()
+    inside_each, realizable = access._inside_each, AccessStructure._realizable.func
+
+    def counted_inside_each(masks):
+        calls["inside"] += 1
+        return inside_each(masks)
+
+    def counted_realizable(g):
+        calls["realizable"] += 1
+        return realizable(g)
+
+    counted = cached_property(counted_realizable)
+    counted.__set_name__(AccessStructure, "_realizable")
+    monkeypatch.setattr(access, "_inside_each", counted_inside_each)
+    monkeypatch.setattr(AccessStructure, "_realizable", counted)
+    sets = [list(c) for c in combinations(range(1, 8), 4)]
+    realize(structure_from_json(json.dumps({"n": 7, "minimal_sets": sets})), 2)
+    assert calls == {"inside": 1, "realizable": 1}
+    calls.clear()
+    realize(from_minimal_sets(3, [[1, 2], [1, 3]]), 2)
+    assert calls == {"inside": 2, "realizable": 2}  # the second structure is purify's
+
+
+def test_direct_construction_rejects_a_non_antichain():
+    with pytest.raises(ValueError, match="antichain"):
+        AccessStructure(3, ((1,), (1, 2)))
+    with pytest.raises(ValueError, match="antichain"):
+        AccessStructure(4, ((1, 2), (3, 4), (1, 2, 3)))

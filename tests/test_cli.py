@@ -403,3 +403,31 @@ def test_runtime_error_crashes_are_not_verdicts(capsys, tri_path, monkeypatch, c
     monkeypatch.setattr(cli.entropy, "chain_profile", broken)
     with pytest.raises(crash):
         cli.main(["profile", "--structure", tri_path])
+
+
+def test_entropy_commands_never_build_the_program(capsys, monkeypatch, tri_path, fan_path):
+    # Only the oracle reads the span program; every other command answers
+    # from the layout, so the realizations they make never build it.
+    made = []
+    realize = cli.entropy.realize
+
+    def spy(g, q):
+        made.append(realize(g, q))
+        return made[-1]
+
+    monkeypatch.setattr(cli.entropy, "realize", spy)
+    commands = (
+        ["entropy", "--set", "1,2"],
+        ["verify-theorem"],
+        ["profile"],
+        ["profile", "--all-chains"],
+        ["tent"],
+        ["verify-oracle", "--cap", "2"],  # above the cap: the formula only
+    )
+    for argv in commands:
+        for path in (tri_path, fan_path):
+            assert run_cli(capsys, *argv, "--structure", path)[0] == 0
+    assert len(made) == 2 * len(commands)
+    assert not any("program" in rz.__dict__ for rz in made)
+    assert run_cli(capsys, "verify-oracle", "--structure", tri_path)[0] == 0
+    assert "program" in made[-1].__dict__

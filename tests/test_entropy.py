@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanshare.access import enumerate_structures, from_minimal_sets
+from spanshare.access import classify, enumerate_structures, from_minimal_sets, purify
 from spanshare.entropy import (
     SecretSpec,
     all_subset_entropies,
@@ -22,6 +22,7 @@ from spanshare.entropy import (
     subset_report,
     verify_monotonicity,
 )
+from spanshare.msp import build_normal_form
 
 from conftest import all_subsets, brute_authorized
 
@@ -535,3 +536,28 @@ def test_maximal_chains_refuses_beyond_the_enumeration_cap():
     with pytest.raises(ValueError, match="10! chain enumeration"):
         maximal_chains(g)
     assert len(list(maximal_chains(from_minimal_sets(4, [[1, 2, 3, 4]])))) == 24
+
+
+def test_lazy_program_is_the_normal_form_of_the_realized_structure():
+    kinds = set()
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            self_dual = classify(g).self_dual
+            kinds.add(self_dual)
+            for q in (2, 3, 5):
+                rz = realize(g, q)
+                assert "program" not in rz.__dict__
+                program, _ = build_normal_form(g if self_dual else purify(g), q)
+                assert rz.program == program  # field, every matrix entry, psi
+                assert rz.program is rz.program
+    assert kinds == {True, False}
+
+
+def test_entropy_queries_never_build_the_program(star4, fan, uniform2):
+    for g in (star4, fan):
+        rz = realize(g, 2)
+        verify_monotonicity(g, uniform2, rz)
+        extremal_check(g, uniform2, rz)
+        chain_profile(g, uniform2, greedy_chain(g), rz)
+        subset_report(rz, uniform2, (1, 2))
+        assert "program" not in rz.__dict__

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spanshare.fields import (
     FieldMatrix,
     PrimeField,
+    _padded_text,
     kernel_basis,
     matrix_from_text,
     matrix_to_text,
@@ -230,3 +231,15 @@ def test_rows_to_text_matches_a_per_entry_join(case):
     assert text == "".join(" ".join(str(x) for x in row) + "\n" for row in entries)
     again = matrix_from_text(f"{rows} {cols} {q}\n" + text)
     assert again.entries == tuple(map(tuple, entries)) and again.cols == cols
+
+
+def test_one_digit_cells_match_the_padded_cells():
+    # q <= 7 takes the one-uint16-per-entry path; wider q the padded one.
+    rng = np.random.default_rng(7)
+    for q in (2, 7, 11, 101):
+        for shape in ((1, 1), (9, 13), (40, 2)):
+            array = rng.integers(0, q, shape).astype(np.min_scalar_type(q - 1))
+            joined = "".join(" ".join(map(str, row)) + "\n" for row in array.tolist())
+            assert _padded_text(array, len(str(q - 1))) == joined
+            assert rows_to_text(array, q) == joined
+            assert rows_to_text(np.asfortranarray(array), q) == joined  # `css` prints a transpose

@@ -187,9 +187,8 @@ def test_secrecy_single_player_scheme(uniform2):
 def test_secrecy_sweep_reports_both_failures(triangle_rz, uniform2):
     # The triangle's program paired with a structure it does not realize:
     # player 1 alone is claimed authorized, and {2, 3} unauthorized.
-    wrong = SchemeRealization(
-        from_minimal_sets(3, [[1]]), triangle_rz.program, triangle_rz.layout, None
-    )
+    wrong = SchemeRealization(from_minimal_sets(3, [[1]]), triangle_rz.layout, None, 2)
+    wrong.__dict__["program"] = triangle_rz.program
     report = verify_secrecy_recoverability(wrong, uniform2)
     assert not report.ok()
     assert report.subsets_checked == 8
@@ -342,8 +341,9 @@ def flipped(rz, row, col, value=None):
         entries[i][col] = (entries[i][col] + 1) % rz.q if value is None else value
     field = rz.program.field
     matrix = FieldMatrix(field, tuple(map(tuple, entries)), rz.program.matrix.cols)
-    program = MonotoneSpanProgram(field, matrix, rz.program.psi)
-    return SchemeRealization(rz.structure, program, rz.layout, rz.hidden_player)
+    bad = SchemeRealization(rz.structure, rz.layout, rz.hidden_player, rz.q)
+    bad.__dict__["program"] = MonotoneSpanProgram(field, matrix, rz.program.psi)
+    return bad
 
 
 def test_flipped_program_entry_is_caught_and_matches_dense(triangle_rz, fan_rz, uniform2):
