@@ -12,6 +12,7 @@ crashes, not verdicts, and propagate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,9 @@ def _sets_json(sets) -> str:
 
 
 # Each handler takes the parsed arguments, the structure, the secret and
-# an `emit` callback for output lines, and returns the exit status.
+# an `emit` callback, and returns the exit status. An emitted str is one
+# output line; any other item is an iterable of text blocks that carry
+# their own newlines, so large outputs are written without being joined.
 
 
 def _classify(args, g, secret, emit) -> int:
@@ -85,7 +88,7 @@ def _purify(args, g, secret, emit) -> int:
 
 
 def _msp(args, g, secret, emit) -> int:
-    emit(msp_mod.normal_form_text(g, args.q).rstrip("\n"))
+    emit(msp_mod.normal_form_blocks(g, args.q))
     return 0
 
 
@@ -191,13 +194,27 @@ def _verify_oracle(args, g, secret, emit) -> int:
 
 
 def _css(args, g, secret, emit) -> int:
-    columns = msp_mod.normal_form_layout(g).array(args.q).T
-    if args.fmt == "json":
-        x_bar, *generators = columns.tolist()
-        emit(json.dumps({"x_bar": x_bar, "generators": generators}, sort_keys=True))
-    else:
-        emit("xbar: " + "\ngenerator: ".join(fields.rows_to_text(columns, args.q).splitlines()))
+    columns = msp_mod.normal_form_columns(g, args.q)
+    emit(_css_json(columns) if args.fmt == "json" else _css_text(columns, args.q))
     return 0
+
+
+def _css_text(slabs, q: int):
+    prefix = "xbar: "
+    for slab in slabs:
+        text = fields.rows_to_text(slab, q)
+        yield prefix + text[:-1].replace("\n", "\ngenerator: ") + "\n"
+        prefix = "generator: "
+
+
+def _css_json(slabs):
+    """`json.dumps({"x_bar": ..., "generators": [...]}, sort_keys=True)`, a column at a time."""
+    columns = (column for slab in slabs for column in slab.tolist())
+    x_bar = next(columns)
+    yield '{"generators": ['
+    for i, column in enumerate(columns):
+        yield (", " if i else "") + json.dumps(column)
+    yield '], "x_bar": ' + json.dumps(x_bar) + "}\n"
 
 
 COMMANDS = {
@@ -214,8 +231,10 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    # The options every command takes, built once and shared through `parents`.
+@functools.cache
+def _parser() -> _Parser:
+    # Built on first use, once per process. The options every command
+    # takes are shared through `parents`.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--structure", required=True, help="access structure JSON file")
     common.add_argument("--q", type=int, default=2, help="prime field size (default 2)")
@@ -237,18 +256,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write(out, items) -> None:
+    for item in items:
+        if isinstance(item, str):
+            out.write(item)
+            out.write("\n")
+        else:
+            for block in item:
+                out.write(block)
+
+
 def main(argv=None) -> int:
     """Run one command; returns the process exit status."""
-    args = _build_parser().parse_args(argv)
-    lines: list[str] = []
+    args = _parser().parse_args(argv)
+    items: list = []
     try:
         g = access.structure_from_json(Path(args.structure).read_text())
-        status = args.handler(args, g, _secret_spec(args), lines.append)
-        text = "\n".join(lines) + ("\n" if lines else "")
+        status = args.handler(args, g, _secret_spec(args), items.append)
         if args.out:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as out:
+                _write(out, items)
         else:
-            sys.stdout.write(text)
+            _write(sys.stdout, items)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

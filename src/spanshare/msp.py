@@ -8,15 +8,17 @@ identity block I_{r_i} in a private column band and one closing row
 carrying 1 in the secret column and -1 across the band. The identity
 rows are labeled with the first r_i participants of A_i and the
 closing row with the last, both in presentation order.
-The matrix is laid out once per build, by `NormalFormLayout.array`, and
-`NormalFormLayout.program` is the one place it becomes a program.
+The matrix is laid out only by `NormalFormLayout.array`, whole or one
+window at a time; `NormalFormLayout.program` is the one place it becomes
+a program, and the printers format it a slab of rows or columns at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -99,21 +101,37 @@ class NormalFormLayout:
     def psi(self) -> tuple[int, ...]:
         return tuple(p for a_i in self.minimal_set_order for p in a_i)
 
-    def array(self, q: int) -> np.ndarray:
+    def array(
+        self, q: int, rows: tuple[int, int] | None = None, cols: tuple[int, int] | None = None
+    ) -> np.ndarray:
         """The d x e matrix over F_q, in the smallest unsigned dtype holding q - 1.
 
-        Band column j of block i (from 0) has its identity 1 in row j - 1 + i;
-        block i's closing row has 1 in column 0 and q - 1 across the band.
+        `rows` and `cols` are half-open ranges [lo, hi) that cut out one
+        window, by default the whole matrix. Band column j of block i (from 0)
+        has its identity 1 in row j - 1 + i; block i's closing row has 1 in
+        column 0 and q - 1 across the band.
         """
         PrimeField(q)  # rejects a q that is not prime
-        m = np.zeros((self.d, self.e), dtype=np.min_scalar_type(q - 1))
+        r0, r1 = rows or (0, self.d)
+        c0, c1 = cols or (0, self.e)
+        if not (0 <= r0 <= r1 <= self.d and 0 <= c0 <= c1 <= self.e):
+            raise ValueError(f"window {rows} x {cols} is outside the {self.d} x {self.e} matrix")
+        m = np.zeros((r1 - r0, c1 - c0), dtype=np.min_scalar_type(q - 1))
+        for row, col, value in self._nonzeros:
+            # Rows and columns both ascend, so each range is one slice of the family.
+            lo = max(np.searchsorted(row, r0), np.searchsorted(col, c0))
+            hi = min(np.searchsorted(row, r1), np.searchsorted(col, c1))
+            m[row[lo:hi] - r0, col[lo:hi] - c0] = value % q
+        return m
+
+    @cached_property
+    def _nonzeros(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
+        """The identity, secret and band entries as (rows, cols, value) families."""
         band = np.arange(1, self.e)
         blocks = np.repeat(np.arange(self.k), self.block_sizes)
         closing = np.array([hi - 1 for _, hi in self.row_blocks])
-        m[band - 1 + blocks, band] = 1
-        m[closing, 0] = 1
-        m[closing[blocks], band] = q - 1
-        return m
+        secret = np.zeros(self.k, dtype=band.dtype)
+        return (band - 1 + blocks, band, 1), (closing, secret, 1), (closing[blocks], band, -1)
 
     def program(self, q: int) -> MonotoneSpanProgram:
         """The normal-form program over F_q: `array(q)` as tuple rows, labeled by `psi`.
@@ -174,11 +192,42 @@ def build_normal_form(
     return layout.program(q), layout
 
 
-def normal_form_text(g: AccessStructure, q: int = 2) -> str:
-    """`msp_to_text(build_normal_form(g, q)[0])`, printed from the layout's array."""
+# Cells in one printed slab: it bounds the slab's array, cell buffer and text.
+_SLAB_CELLS = 1 << 19
+
+
+def _slabs(count: int, width: int) -> Iterator[tuple[int, int]]:
+    """Half-open ranges covering range(count), each at most _SLAB_CELLS // width long."""
+    step = max(1, _SLAB_CELLS // width)
+    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def normal_form_blocks(g: AccessStructure, q: int = 2) -> Iterator[str]:
+    """The text of `normal_form_text` in blocks: the 'd e q' header, one
+    block per row slab of the matrix, then the 'psi:' line.
+
+    `g` and `q` are checked before this returns, so an error precedes all text.
+    """
     layout = normal_form_layout(g)
-    matrix = rows_to_text(layout.array(q), q)
-    return f"{layout.d} {layout.e} {q}\n{matrix}psi: " + " ".join(map(str, layout.psi)) + "\n"
+    PrimeField(q)
+    matrix = (rows_to_text(layout.array(q, rows), q) for rows in _slabs(layout.d, layout.e))
+    psi = "psi: " + " ".join(map(str, layout.psi)) + "\n"
+    return chain([f"{layout.d} {layout.e} {q}\n"], matrix, [psi])
+
+
+def normal_form_columns(g: AccessStructure, q: int = 2) -> Iterator[np.ndarray]:
+    """The normal form's columns, secret first, as the rows of slab arrays.
+
+    `g` and `q` are checked before this returns.
+    """
+    layout = normal_form_layout(g)
+    PrimeField(q)
+    return (layout.array(q, cols=cols).T for cols in _slabs(layout.e, layout.d))
+
+
+def normal_form_text(g: AccessStructure, q: int = 2) -> str:
+    """`msp_to_text(build_normal_form(g, q)[0])`, printed from the layout a slab at a time."""
+    return "".join(normal_form_blocks(g, q))
 
 
 @dataclass(frozen=True)

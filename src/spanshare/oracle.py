@@ -129,7 +129,8 @@ def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
     ordered = np.sort(index, axis=1)
     if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError("encoding collides; the program is not in normal form")
-    if len(np.unique(ordered)) < ordered.size:
+    flat = np.sort(ordered, axis=None)  # np.unique would import numpy.ma on first use
+    if (flat[1:] == flat[:-1]).any():
         raise RuntimeError("secret cosets overlap; encodings are not orthogonal")
     return index
 

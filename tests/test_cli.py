@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from spanshare import cli
+from spanshare import access, cli, msp
 from spanshare.entropy import EntropyReport, MonotonicityViolation
-from spanshare.fields import FieldMatrix
+from spanshare.fields import FieldMatrix, rows_to_text
 
 TRIANGLE_JSON = '{"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}'
 FAN_JSON = '{"n": 3, "minimal_sets": [[1,2],[1,3]]}'
@@ -195,6 +195,56 @@ def test_msp_and_css_build_no_field_matrix(capsys, tri_path, monkeypatch, argv):
     monkeypatch.setattr(FieldMatrix, "__post_init__", refuse)
     assert run_cli(capsys, *argv, "--structure", tri_path) == expected
     assert expected[0] == 0 and expected[1]
+
+
+@pytest.fixture(scope="module")
+def t6of11_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("t6of11") / "t6of11.json"
+    sets = [list(c) for c in itertools.combinations(range(1, 12), 6)]
+    path.write_text(json.dumps({"n": 11, "minimal_sets": sets}))
+    return str(path)
+
+
+@pytest.mark.parametrize("q", [2, 7, 11, 101])
+def test_msp_and_css_slabs_match_the_whole_array(capsys, t6of11_path, q):
+    with open(t6of11_path) as f:
+        layout = msp.normal_form_layout(access.structure_from_json(f.read()))
+    whole = layout.array(q)
+    psi = " ".join(map(str, layout.psi))
+    expected = f"{layout.d} {layout.e} {q}\n" + rows_to_text(whole, q) + f"psi: {psi}\n"
+    assert run_cli(capsys, "msp", "--structure", t6of11_path, "--q", str(q)) == (0, expected, "")
+    expected = "xbar: " + "\ngenerator: ".join(rows_to_text(whole.T, q).splitlines()) + "\n"
+    assert run_cli(capsys, "css", "--structure", t6of11_path, "--q", str(q)) == (0, expected, "")
+
+
+def test_css_json_slabs_match_the_whole_array(capsys, t6of11_path):
+    with open(t6of11_path) as f:
+        x_bar, *generators = msp.normal_form_layout(access.structure_from_json(f.read())).array(2).T.tolist()
+    expected = json.dumps({"x_bar": x_bar, "generators": generators}, sort_keys=True) + "\n"
+    assert run_cli(capsys, "css", "--structure", t6of11_path, "--format", "json") == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", ["msp", "css"])
+@pytest.mark.parametrize(
+    "structure, flags, message",
+    [('{"n": 4, "minimal_sets": [[1,2],[3,4]]}', [], "disjoint"), (TRIANGLE_JSON, ["--q", "4"], "prime")],
+    ids=["unrealizable", "composite-q"],
+)
+def test_printouts_check_their_input_before_opening_out(capsys, tmp_path, command, structure, flags, message):
+    path, target = tmp_path / "g.json", tmp_path / "out.txt"
+    path.write_text(structure)
+    code, out, err = run_cli(capsys, command, "--structure", str(path), *flags, "--out", str(target))
+    assert_one_line_error(code, out, err)
+    assert message in err and not target.exists()
+
+
+def test_one_parser_serves_every_call(capsys, tri_path):
+    # `tent` rewrites its parsed format to csv; the next call must not see it.
+    assert run_cli(capsys, "tent", "--structure", tri_path)[0] == 0
+    code, out, _ = run_cli(capsys, "profile", "--structure", tri_path, "--format", "json")
+    assert code == 0
+    assert out == '{"chain": [[], [1], [1, 2], [1, 2, 3]], "crossover": 2, "entropies": [0.0, 2.0, 3.0, 1.0]}\n'
+    assert cli._parser() is cli._parser()
 
 
 def test_large_field_is_accepted(capsys, tri_path):

@@ -1,7 +1,10 @@
 """Normal-form span programs: construction, acceptance, rank accounting."""
 
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from spanshare.access import enumerate_structures, from_minimal_sets, is_authorized
@@ -15,6 +18,7 @@ from spanshare.msp import (
     encoding_image,
     msp_from_text,
     msp_to_text,
+    normal_form_blocks,
     normal_form_layout,
     normal_form_text,
     rank_bookkeeping,
@@ -110,6 +114,41 @@ def test_normal_form_matches_rows_built_block_by_block():
     assert normal_form_layout(g) == layout
     with pytest.raises(ValueError, match="prime"):
         layout.array(4)
+
+
+def test_array_windows_tile_the_whole_array():
+    rng = random.Random(15)
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            layout = normal_form_layout(g)
+            for q in (2, 3, 11):
+                whole = layout.array(q)
+                for axis, name in enumerate(("rows", "cols")):
+                    size = whole.shape[axis]
+                    cuts = [0, *sorted(rng.choices(range(size + 1), k=3)), size]
+                    parts = [layout.array(q, **{name: span}) for span in zip(cuts, cuts[1:])]
+                    assert all(part.dtype == whole.dtype for part in parts)
+                    assert np.array_equal(np.concatenate(parts, axis=axis), whole), (g.minimal_sets, q)
+
+
+@pytest.mark.parametrize("rows, cols", [((0, 7), None), ((-1, 2), None), ((3, 2), None), (None, (0, 5))])
+def test_array_rejects_windows_outside_the_matrix(triangle, rows, cols):
+    with pytest.raises(ValueError, match="outside"):
+        normal_form_layout(triangle).array(2, rows, cols)
+
+
+def test_printing_6_of_11_holds_one_slab_at_a_time():
+    # The whole 2772 x 2311 array, its cells and its text would take tens of MB.
+    g = from_minimal_sets(11, itertools.combinations(range(1, 12), 6))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, normal_form_blocks(g, 2)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    psi = "psi: " + " ".join(map(str, normal_form_layout(g).psi)) + "\n"
+    assert size == len("2772 2311 2\n") + 2 * 2772 * 2311 + len(psi)
+    assert peak < 8 * 2**20
 
 
 def test_accepts_authorized_pair(tri_program):
