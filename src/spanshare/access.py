@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, repeat
 
 import numpy as np
 
@@ -35,8 +35,11 @@ def _members(mask: int) -> Subset:
     return tuple(p for p in range(1, mask.bit_length() + 1) if mask >> (p - 1) & 1)
 
 
-def _canon_key(s: Subset):
-    return (len(s), s)
+def _canonical(sets) -> list[Subset]:
+    """Ascending tuples by size, then lexicographically: two C-level sorts, no key function."""
+    ordered = sorted(sets)
+    ordered.sort(key=len)
+    return ordered
 
 
 def _check_cap(n: int):
@@ -68,26 +71,32 @@ class AccessStructure:
     n: int
     minimal_sets: tuple[Subset, ...]
     presentation: tuple[Subset, ...] = field(compare=False, default=())
-    # Set only by `from_minimal_sets`, whose containment count already drops supersets.
-    _antichain_counted: InitVar[bool] = False
+    # The masks in canonical order, passed only by `from_minimal_sets`,
+    # which has made every check below on the sets it built them from.
+    _masks: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _antichain_counted):
+    def __post_init__(self, _masks):
         if self.n < 1:
             raise ValueError("need at least one player")
         if not self.minimal_sets:
             raise ValueError("at least one minimal authorized set is required")
-        for s in self.minimal_sets:
+        if _masks is not None:
+            self.__dict__["masks"] = _masks
+            return
+        sets = self.minimal_sets
+        for s in sets:
             if not s or list(s) != sorted(set(s)):
                 raise ValueError(f"set {s} must be nonempty with ascending members")
-        if not _antichain_counted and (_inside_each(self.masks) > 1).any():
+        # By size for the passes: whether the sets are in canonical order is checked next.
+        order = sorted(range(len(sets)), key=list(map(len, sets)).__getitem__)
+        masks, sizes = self.masks[order], self._sizes[order]
+        if len(set(sets)) < len(sets) or _inside_each(masks, sizes).any():
             raise ValueError("minimal sets must form an antichain")
-        if list(self.minimal_sets) != sorted(self.minimal_sets, key=_canon_key):
+        if list(sets) != _canonical(sets):
             raise ValueError("minimal sets must be sorted by size then lexicographically")
         if not self.presentation:
-            object.__setattr__(self, "presentation", self.minimal_sets)
-        elif {frozenset(s) for s in self.presentation} != {
-            frozenset(s) for s in self.minimal_sets
-        }:
+            object.__setattr__(self, "presentation", sets)
+        elif {frozenset(s) for s in self.presentation} != {frozenset(s) for s in sets}:
             raise ValueError("presentation must list the same sets")
 
     @property
@@ -97,7 +106,12 @@ class AccessStructure:
     @cached_property
     def masks(self) -> np.ndarray:
         """The minimal sets as bitmasks, in `minimal_sets` order."""
-        return _mask_array([_mask(s, self.n) for s in self.minimal_sets], self.n)
+        return _mask_array(_masks_of(self.minimal_sets, self.n), self.n)
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        """|A| per minimal set, in `minimal_sets` order, so ascending: the passes' size order."""
+        return np.array(list(map(len, self.minimal_sets)), dtype=np.int64)
 
     @cached_property
     def authorized_table(self) -> np.ndarray:
@@ -106,8 +120,8 @@ class AccessStructure:
 
     @cached_property
     def _realizable(self) -> bool:
-        # O(k^2) bit tests, cached: `classify` and `normal_form_layout` both ask.
-        return all((self.masks & m != 0).all() for m in self.masks)
+        # Cached: `classify` and `normal_form_layout` both ask.
+        return not _has_disjoint_pair(self.masks, self._sizes, self.n)
 
 
 def _mask_array(masks: list[int], n: int) -> np.ndarray:
@@ -115,20 +129,9 @@ def _mask_array(masks: list[int], n: int) -> np.ndarray:
     return np.array(masks, dtype=np.int64 if n <= 63 else object)
 
 
-def _inside_each(masks: np.ndarray) -> np.ndarray:
-    """For each of `masks`, how many of `masks` lie inside it (itself included); one row each."""
-    return np.array([np.count_nonzero(masks & m == masks) for m in masks], dtype=np.int64)
-
-
-def from_minimal_sets(n: int, sets) -> AccessStructure:
-    """Build a structure, dropping supersets and canonicalizing.
-
-    A set that strictly contains another listed set is redundant and is
-    removed; two sets with the same members are an error.
-    """
-    if n < 1:
-        raise ValueError("need at least one player")
-    sets = [tuple(s) for s in sets]
+def _scan_masks(sets: list[Subset], n: int) -> list[int]:
+    """The mask of each set, checked one set at a time: the first fault met raises,
+    be it an empty set, a player out of range or a repeated player."""
     masks = []
     for s in sets:
         if not s:
@@ -136,13 +139,96 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
         m = _mask(s, n)
         if len(s) != bin(m).count("1"):
             raise ValueError(f"repeated player in set {s}")
-        masks.append(m)
+        masks.append(int(m))
+    return masks
+
+
+def _masks_of(sets: list[Subset], n: int) -> list[int]:
+    """`_scan_masks(sets, n)` in C-level passes; the scan runs only to name a fault.
+
+    A mask is the sum of its players' bits. A repeated player makes that
+    sum carry, so the mask has fewer bits than the set has members.
+    """
+    try:
+        # One float or numpy scalar among the players makes their sum one too.
+        valid = all(sets) and type(sum(chain.from_iterable(sets))) is int
+        players = set(chain.from_iterable(sets))
+        valid = valid and (not players or 1 <= min(players) <= max(players) <= n)
+    except TypeError:  # a player that is no number
+        valid = False
+    if valid:
+        bit = {p: 1 << (p - 1) for p in players}
+        masks = list(map(sum, map(map, repeat(bit.__getitem__), sets)))
+        if list(map(int.bit_count, masks)) == list(map(len, sets)):
+            return masks
+    return _scan_masks(sets, n)
+
+
+def _smaller_counts(sizes: np.ndarray) -> np.ndarray:
+    """For ascending set sizes: how many sets are strictly smaller than each."""
+    return np.searchsorted(sizes, sizes)
+
+
+def _fitting_counts(sizes: np.ndarray, n: int) -> np.ndarray:
+    """For ascending set sizes |A|: how many sets B have |A| + |B| <= n."""
+    return np.searchsorted(sizes, n - sizes, side="right")
+
+
+def _inside_each(masks: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """For each of `masks`, sorted by ascending set size, how many others lie inside it.
+
+    Only a strictly smaller set can lie inside a set, so each is tested
+    against the prefix of smaller sets alone and sets of equal size are
+    never compared: a threshold structure tests no pair.
+    """
+    counts = np.zeros(len(masks), dtype=np.int64)
+    smaller = _smaller_counts(sizes)
+    for i in np.flatnonzero(smaller).tolist():
+        head = masks[: smaller[i]]
+        counts[i] = np.count_nonzero(head & masks[i] == head)
+    return counts
+
+
+def _has_disjoint_pair(masks: np.ndarray, sizes: np.ndarray, n: int) -> bool:
+    """Whether two of `masks`, sorted by ascending set size, are disjoint.
+
+    Sets A and B of n players can be disjoint only if |A| + |B| <= n, so
+    each is tested against the prefix of sets that short alone: on
+    k-of-(2k-1) thresholds no pair is tested.
+    """
+    fitting = _fitting_counts(sizes, n)
+    for i in np.flatnonzero(fitting).tolist():
+        if not (masks[: fitting[i]] & masks[i]).all():
+            return True
+    return False
+
+
+def from_minimal_sets(n: int, sets) -> AccessStructure:
+    """Build a structure, dropping supersets and canonicalizing.
+
+    A set that strictly contains another listed set is redundant and is
+    removed; two sets with the same members are an error. Faults are
+    found in C-level passes, and the first one in input order is named.
+    """
+    if n < 1:
+        raise ValueError("need at least one player")
+    sets = list(map(tuple, sets))
+    masks = _masks_of(sets, n)
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate minimal set after canonicalization")
-    keep = _inside_each(_mask_array(masks, n)) == 1  # only itself inside
-    presentation = tuple(compress(sets, keep))
-    canonical = tuple(sorted(map(_members, compress(masks, keep)), key=_canon_key))
-    return AccessStructure(n, canonical, presentation, _antichain_counted=True)
+    sizes = list(map(len, sets))
+    members = list(map(tuple, map(sorted, sets)))
+    # Canonical order, by size and then members: two C-level sorts of indices.
+    order = sorted(range(len(sets)), key=members.__getitem__)
+    order.sort(key=sizes.__getitem__)
+    masks = _mask_array(masks, n)[order]
+    sizes = np.array(sizes, dtype=np.int64)[order]
+    keep = _inside_each(masks, sizes) == 0
+    given = np.empty_like(keep)
+    given[order] = keep  # `keep` in input order
+    canonical = tuple(compress(map(members.__getitem__, order), keep.tolist()))
+    presentation = tuple(compress(sets, given.tolist()))
+    return AccessStructure(n, canonical, presentation, masks[keep])
 
 
 def _json_int(value) -> int:
@@ -152,12 +238,24 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_sets(sets) -> list[Subset]:
+    """The sets as tuples, every player checked to be a JSON integer in one C-level pass."""
+    try:
+        tuples = list(map(tuple, sets))
+        if set(map(type, chain.from_iterable(tuples))) <= {int}:
+            return tuples
+    except TypeError:
+        pass
+    # Scan in order: this raises for the first bad value, as a TypeError or naming it.
+    return [tuple(_json_int(p) for p in s) for s in sets]
+
+
 def structure_from_json(text: str) -> AccessStructure:
     """Parse {"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}."""
     data = json.loads(text)
     try:
         n = _json_int(data["n"])
-        sets = [[_json_int(p) for p in s] for s in data["minimal_sets"]]
+        sets = _json_sets(data["minimal_sets"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"structure JSON needs 'n' and 'minimal_sets': {exc}") from exc
     return from_minimal_sets(n, sets)
@@ -187,13 +285,18 @@ def inside_counts(n: int, masks) -> np.ndarray:
     return counts
 
 
-def _minimal_sets_of(n: int, table: np.ndarray) -> tuple[Subset, ...]:
-    """Minimal elements of a monotone family given as a table over all 2^n masks."""
+def _minimal_masks_of(n: int, table: np.ndarray) -> np.ndarray:
+    """Masks of the minimal elements of a monotone family given as a table over all 2^n masks."""
     minimal = table.copy()
     for b in range(n):
         # S holding bit b is minimal only if S without b is outside the family.
         minimal.reshape(-1, 2, 1 << b)[:, 1] &= ~table.reshape(-1, 2, 1 << b)[:, 0]
-    return tuple(sorted(map(_members, np.flatnonzero(minimal).tolist()), key=_canon_key))
+    return np.flatnonzero(minimal)
+
+
+def _minimal_sets_of(n: int, table: np.ndarray) -> tuple[Subset, ...]:
+    """Minimal elements of a monotone family given as a table over all 2^n masks."""
+    return tuple(_canonical(map(_members, _minimal_masks_of(n, table).tolist())))
 
 
 def dual(g: AccessStructure) -> AccessStructure:
@@ -260,10 +363,11 @@ def purify(g: AccessStructure) -> AccessStructure:
 def maximal_unauthorized(g: AccessStructure) -> list[Subset]:
     """Unauthorized sets whose every proper superset is authorized.
 
-    They are the complements of the dual's minimal authorized sets.
+    They are the complements of the dual's minimal authorized sets,
+    read off the dual's table without building the dual structure.
     """
-    full = (1 << g.n) - 1
-    return sorted((_members(full & ~m) for m in dual(g).masks.tolist()), key=_canon_key)
+    dual_minimal = _minimal_masks_of(g.n, ~g.authorized_table[::-1])
+    return _canonical(map(_members, (((1 << g.n) - 1) ^ dual_minimal).tolist()))
 
 
 def enumerate_structures(
@@ -292,9 +396,7 @@ def enumerate_structures(
     def grow(start: int, chosen: list[int], covered: int):
         if chosen:
             if not connected_only or covered == full:
-                yield AccessStructure(
-                    n, tuple(sorted((_members(m) for m in chosen), key=_canon_key))
-                )
+                yield AccessStructure(n, tuple(_canonical(map(_members, chosen))))
         for i in range(start, len(all_masks)):
             m = all_masks[i]
             if compatible(m, chosen):

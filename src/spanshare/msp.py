@@ -16,13 +16,13 @@ a program, and the printers format it a slab of rows or columns at a time.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
 
-from .access import AccessStructure, Subset, _mask, from_minimal_sets, inside_counts
+from .access import AccessStructure, Subset, from_minimal_sets, inside_counts
 from .access import is_authorized, is_connected, is_realizable, subsets_in_order
 from .fields import (
     FieldMatrix,
@@ -75,11 +75,13 @@ class NormalFormLayout:
     d = sum |A_i| rows, e = c + 1 columns with c = sum (|A_i| - 1).
     Block i owns the half-open row range row_blocks[i] and block_sizes[i]
     band columns; the bands follow column 0, the secret's, in block order.
+    `structure` is the structure laid out, whose mask array the cut table reads.
     """
 
     minimal_set_order: tuple[Subset, ...]
     block_sizes: tuple[int, ...]  # r_i = |A_i| - 1
     row_blocks: tuple[tuple[int, int], ...]
+    structure: AccessStructure = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -155,8 +157,7 @@ class NormalFormLayout:
         cut[S] = k - K[S] - K[~S] counts the minimal sets meeting both S and its
         complement. `entropy` proves it is the rank excess of a self-dual structure.
         """
-        n = max(max(a_i) for a_i in self.minimal_set_order)
-        counts = inside_counts(n, [_mask(a_i, n) for a_i in self.minimal_set_order])
+        counts = inside_counts(self.structure.n, self.structure.masks)
         # Reversing the table maps S to full ^ S, its complement.
         return counts > 0, self.k - counts - counts[::-1]
 
@@ -181,7 +182,7 @@ def normal_form_layout(g: AccessStructure) -> NormalFormLayout:
     order = g.presentation
     sizes = tuple(len(a) - 1 for a in order)
     rows = tuple(accumulate((len(a) for a in order), initial=0))
-    return NormalFormLayout(order, sizes, tuple(zip(rows, rows[1:])))
+    return NormalFormLayout(order, sizes, tuple(zip(rows, rows[1:])), g)
 
 
 def build_normal_form(

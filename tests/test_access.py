@@ -3,8 +3,9 @@
 import json
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +242,76 @@ def test_pairwise_facts_past_63_players(sets):
         assert AccessStructure(n, _canonical(sets)) == g
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pruned_passes_match_pairwise_brute_force(data):
+    # Complements give disjoint pairs with |A| + |B| = n exactly, the edge of the
+    # realizability rule; subsets and supersets give nested pairs of unequal size.
+    n = data.draw(st.sampled_from(WIDE_PLAYERS[2:] + (4, 7)))
+    everyone = frozenset(range(1, n + 1))
+    sets = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        how = data.draw(st.sampled_from(("fresh", "inside", "around", "complement")))
+        if how == "fresh" or not sets:
+            size = data.draw(st.integers(1, n))
+            s = frozenset(data.draw(st.permutations(sorted(everyone)))[:size])
+        elif how == "inside":
+            base = sorted(data.draw(st.sampled_from(sets)))
+            s = frozenset(data.draw(st.lists(st.sampled_from(base), min_size=1, unique=True)))
+        elif how == "around":
+            extra = data.draw(st.sampled_from(WIDE_PLAYERS[:2] + (n,)))
+            s = data.draw(st.sampled_from(sets)) | {extra}
+        else:
+            s = everyone - data.draw(st.sampled_from(sets))
+        if s and s not in sets:
+            sets.append(s)
+    sets.sort(key=len)
+    sizes = np.array([len(s) for s in sets])
+    masks = access._mask_array([sum(1 << (p - 1) for p in s) for s in sets], n)
+    # The bounds are the pairs each pass tests: exactly those the size rules leave.
+    assert access._smaller_counts(sizes).tolist() == [
+        sum(len(b) < len(a) for b in sets) for a in sets
+    ]
+    assert access._fitting_counts(sizes, n).tolist() == [
+        sum(len(a) + len(b) <= n for b in sets) for a in sets
+    ]
+    assert access._inside_each(masks, sizes).tolist() == [sum(b < a for b in sets) for a in sets]
+    disjoint = any(not a & b for a in sets for b in sets)
+    assert access._has_disjoint_pair(masks, sizes, n) == disjoint
+    g = from_minimal_sets(n, [sorted(s) for s in sets])
+    minimal = [s for s in sets if not any(b < s for b in sets)]
+    assert g.minimal_sets == _canonical(sorted(s) for s in minimal)
+    assert access.is_realizable(g) == all(a & b for a in minimal for b in minimal)
+
+
+def _first_error(n, sets):
+    """The message of the first fault met by checking each value, then each set, in order."""
+    for s in sets:
+        for p in s:
+            if type(p) is not int:
+                return f"expected an integer in structure JSON, got {p!r}"
+    for s in sets:
+        if not s:
+            return "authorized sets must be nonempty"
+        for p in s:
+            if not 1 <= p <= n:
+                return f"player {p} out of range 1..{n}"
+        if len(set(s)) != len(s):
+            return f"repeated player in set {tuple(s)}"
+    return "duplicate minimal set after canonicalization"
+
+
+def test_the_first_fault_in_input_order_is_reported():
+    faults = [[], [1, 2**70], [2, 2], [1, 2.5], [True, 3], [4, 0]]
+    for count in range(1, len(faults) + 1):
+        for chosen in permutations(faults, count):
+            for at in range(len(chosen) + 1):
+                sets = [[1, 2], *chosen[:at], [2, 3], *chosen[at:], [3, 2]]  # [2, 3] twice
+                with pytest.raises(ValueError) as info:
+                    structure_from_json(json.dumps({"n": 4, "minimal_sets": sets}))
+                assert str(info.value) == _first_error(4, sets)
+
+
 def test_json_roundtrip(triangle):
     text = structure_to_json(triangle)
     assert text == '{"n": 3, "minimal_sets": [[1, 2], [1, 3], [2, 3]]}'
@@ -330,9 +401,9 @@ def test_structure_passes_run_once_per_structure(monkeypatch):
     calls = Counter()
     inside_each, realizable = access._inside_each, AccessStructure._realizable.func
 
-    def counted_inside_each(masks):
+    def counted_inside_each(*args):
         calls["inside"] += 1
-        return inside_each(masks)
+        return inside_each(*args)
 
     def counted_realizable(g):
         calls["realizable"] += 1

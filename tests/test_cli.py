@@ -3,9 +3,14 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spanshare
 from spanshare import access, cli, msp
 from spanshare.entropy import EntropyReport, MonotonicityViolation
 from spanshare.fields import FieldMatrix, rows_to_text
@@ -383,6 +388,35 @@ def test_non_integer_structure_is_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "classify", "--structure", str(path))
     assert_one_line_error(code, out, err)
     assert "integer" in err
+
+
+def test_player_past_int64_is_out_of_range(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 3, "minimal_sets": [[1, 2], [2**70, 3]]}))
+    code, out, err = run_cli(capsys, "classify", "--structure", str(path))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: player {2**70} out of range 1..3\n"
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # The first np.unique call imports numpy.ma, about 19 ms and its memory per process.
+    path = tmp_path / "tri.json"
+    path.write_text(TRIANGLE_JSON)
+    script = (
+        "import contextlib, io, sys\n"
+        "from spanshare import cli\n"
+        "for argv in (['classify'], ['entropy', '--set', '1,2'], ['verify-theorem'],\n"
+        "             ['verify-oracle'], ['msp']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--structure', sys.argv[1]]) == 0, argv\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(spanshare.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("command", ["msp", "css"])
