@@ -2,7 +2,7 @@
 
 Build an access structure, realize it as a span program, read share
 entropies off matrix ranks, and cross-check everything against a
-simulation that reduces the encoded states' codeword sets.
+simulation that counts the encoded states' codewords in blocks.
 """
 
 from .access import (

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import access, entropy, fields, msp as msp_mod, oracle
@@ -195,7 +196,7 @@ def _verify_oracle(args, g, secret, emit) -> int:
 
 def _css(args, g, secret, emit) -> int:
     columns = msp_mod.normal_form_columns(g, args.q)
-    emit(_css_json(columns) if args.fmt == "json" else _css_text(columns, args.q))
+    emit(_css_json(columns, args.q) if args.fmt == "json" else _css_text(columns, args.q))
     return 0
 
 
@@ -207,14 +208,18 @@ def _css_text(slabs, q: int):
         prefix = "generator: "
 
 
-def _css_json(slabs):
-    """`json.dumps({"x_bar": ..., "generators": [...]}, sort_keys=True)`, a column at a time."""
-    columns = (column for slab in slabs for column in slab.tolist())
-    x_bar = next(columns)
+def _css_json(slabs, q: int):
+    """`json.dumps({"x_bar": ..., "generators": [...]}, sort_keys=True)`, a column
+    slab at a time: each column is a line of `rows_to_text` with ", " between entries."""
+    texts = (fields.rows_to_text(slab, q, ", ", "]\n") for slab in slabs)
+    x_bar, _, first = next(texts).partition("\n")
     yield '{"generators": ['
-    for i, column in enumerate(columns):
-        yield (", " if i else "") + json.dumps(column)
-    yield '], "x_bar": ' + json.dumps(x_bar) + "}\n"
+    separator = ""
+    for text in chain([first], texts):
+        if text:
+            yield separator + "[" + text[:-1].replace("\n", ", [")
+            separator = ", "
+    yield '], "x_bar": [' + x_bar + "}\n"
 
 
 COMMANDS = {

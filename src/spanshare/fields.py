@@ -170,35 +170,39 @@ def kernel_basis(m: FieldMatrix) -> list[Vector]:
     return basis
 
 
-def rows_to_text(array: np.ndarray, q: int) -> str:
-    """Rows of a canonical 2-D array as lines of space-separated decimals.
+def rows_to_text(array: np.ndarray, q: int, sep: str = " ", end: str = "\n") -> str:
+    """Rows of a canonical 2-D array as lines of decimals, `sep` after each
+    entry but a row's last, which `end` (as long as `sep`) follows.
 
-    A one-digit entry and its separator are one little-endian uint16
-    cell; wider entries go through `_padded_text`. The buffer is decoded once.
+    Each entry and its separator are one cell of a byte buffer: one
+    little-endian uint16 for a one-character `sep`. A longer entry leaves
+    a NUL in its cell; the text is split at the NULs and joined with
+    those entries' decimals, each distinct value formatted once. A
+    normal-form matrix has one such value, q - 1, once per band column.
     """
-    if not array.shape[1]:
-        return "\n" * len(array)
-    width = len(str(q - 1))
-    if width > 1:
-        return _padded_text(array, width)
-    cells = array.astype("<u2", order="C")
-    cells |= ord(" ") << 8 | ord("0")
-    cells.view(np.uint8)[:, -1] = ord("\n")  # the last entry's separator byte
-    return str(memoryview(cells), "ascii")
-
-
-def _padded_text(array: np.ndarray, width: int) -> str:
-    """`rows_to_text` for entries below 10^width: each fills `width` digit
-    cells and a separator in one uint8 buffer; leading zeros are masked out."""
-    cells = np.empty((*array.shape, width + 1), dtype=np.uint8)
-    cells[:, :, width] = ord(" ")
-    cells[:, -1, width] = ord("\n")
-    for j in range(width):
-        cells[:, :, j] = array // 10 ** (width - 1 - j) % 10 + ord("0")
-    keep = np.ones(cells.shape, dtype=bool)
-    for j in range(width - 1):
-        keep[:, :, j] = array >= 10 ** (width - 1 - j)
-    return str(memoryview(cells[keep]), "ascii")
+    rows, cols = array.shape
+    if not cols:
+        return end * rows
+    digits = array.astype(np.uint8, copy=False)  # wraps past 255: longer entries, cleared below
+    if len(sep) == 1:
+        cells = digits.astype("<u2", order="C")
+        cells |= ord(sep) << 8 | ord("0")
+    else:
+        line = np.frombuffer(("0" + sep).encode("ascii") * cols, np.uint8)
+        cells = np.tile(line, rows).reshape(rows, cols, 1 + len(sep))
+        cells[..., 0] += digits
+    cells = cells.view(np.uint8).reshape(rows, cols, 1 + len(sep))
+    cells[:, -1, 1:] = np.frombuffer(end.encode("ascii"), np.uint8)
+    if q <= 10:
+        return str(memoryview(cells), "ascii")
+    wide = array >= 10
+    cells[..., 0][wide] = 0
+    values = array[wide].tolist()
+    decimals = {v: b"%d" % v for v in set(values)}
+    parts = cells.tobytes().split(b"\0")  # one more than the longer entries
+    text = parts + parts[1:]
+    text[::2], text[1::2] = parts, map(decimals.__getitem__, values)
+    return b"".join(text).decode("ascii")
 
 
 def matrix_to_text(m: FieldMatrix) -> str:

@@ -99,9 +99,9 @@ class NormalFormLayout:
     def e(self) -> int:
         return self.c + 1
 
-    @property
+    @cached_property
     def psi(self) -> tuple[int, ...]:
-        return tuple(p for a_i in self.minimal_set_order for p in a_i)
+        return tuple(chain.from_iterable(self.minimal_set_order))
 
     def array(
         self, q: int, rows: tuple[int, int] | None = None, cols: tuple[int, int] | None = None

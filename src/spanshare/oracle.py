@@ -2,17 +2,19 @@
 
 The encoding map sends a basis secret s to the uniform superposition
 over its N = q^(e-1) codewords M u with secret coordinate s. The sweep
-never builds that q^d state vector: it holds the q^e codewords as basis
-indices, and grouping them by their digits on a subset's coordinates
-and on the rest gives per-secret 0/1 blocks V_s with
-rho_s = V_s V_s^T / N, each array at most q^(d+1) entries and each
-spectrum taken on the smaller side. Secrecy is
-decided by the trace distance between the per-secret reductions and
-recoverability by their overlap Tr(rho_s rho_t), which for positive
-operators is zero exactly when their supports are orthogonal. It
+builds no q^d state vector and no density matrix: it counts codewords.
+For a subset holding coordinates A, with the rest R, each secret's
+codewords form a coset of one linear code, so the components (blocks)
+of their A-pattern x R-pattern graph are complete bipartite, and their
+A-pattern sets are identical or disjoint across secrets (Smith,
+quant-ph/0001087). So rho_s = sum_L (w[L, s] / N) u_L u_L^T, u_L uniform
+on block L's A-patterns: entropies, trace distances and overlaps are
+sums over the integer counts w, and secrecy and recoverability are
+exact tests. Both block facts are checked, not assumed. The sweep
 shares no code path with the rank formula, so agreement between the
-two is evidence, not tautology. `encode_secret`, `reduced_entropy` and
-`dump_state` are the dense reference the tests hold the sweep to.
+two is evidence, not tautology. `encode_secret`, `reduced_entropy`,
+`trace_distance` and `dump_state` are the dense reference the tests
+hold the sweep to.
 
 Basis convention: a codeword (y_1, ..., y_d) maps to the amplitude
 index sum(y_j * q^(d-j)), i.e. big-endian with coordinate 1 most
@@ -121,10 +123,12 @@ def reduced_entropy(state: PureState, coords) -> float:
 
 
 def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
-    """`codewords`, checked: within the cap, no collision, disjoint cosets."""
+    """`codewords`, checked: within the cap and 64-bit keys, no collision, disjoint cosets."""
     q, d = msp.field.q, msp.matrix.rows
     if exceeds_cap(q, d, cap):
         raise ValueError(f"state of q^d = {q}^{d} amplitudes exceeds the cap {cap}")
+    if q ** (d + 1) >= 2**63:
+        raise ValueError(f"q^(d+1) = {q}^{d + 1} overflows the oracle's 64-bit codeword keys")
     index = codewords(msp)
     ordered = np.sort(index, axis=1)
     if (ordered[:, 1:] == ordered[:, :-1]).any():
@@ -135,34 +139,68 @@ def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
     return index
 
 
-def _reduce(index: np.ndarray, kept, d: int) -> list[np.ndarray]:
-    """Per-secret reductions onto the coordinates `kept` (0-based).
+# Entries in each array of one batch of subsets: q^e keys per subset, and up to
+# q block counts per key. One subset alone may exceed it.
+_BATCH_CELLS = 1 << 20
 
-    `index` holds each secret's codewords as basis indices. V has a 1 per
-    codeword, in the row of its digits on `kept` and the column of (its
-    secret, its other digits); rho_s = V_s V_s^T / N for secret s's
-    columns V_s. With more rows than columns, V = QR and
-    R_s R_t^T = Q^T V_s V_t^T Q keeps spectra, overlaps and trace
-    distances. Keys have q^e entries and V at most q^(d+1).
+
+def _blocks(index: np.ndarray, kept: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block counts of a batch of subsets, given each one's kept coordinates (0-based).
+
+    Returns (w, bounds): subset i's blocks are rows bounds[i]:bounds[i + 1]
+    of w, and w[L, s] counts secret s's codewords in block L. The
+    codewords sharing a secret and an R-pattern form a group, labeled by
+    its least A-pattern. The labels are blocks when every A-pattern
+    carries one label, across all secrets too, and every group holds all
+    of its label's A-patterns; either failure is a `RuntimeError`. Keys
+    are built one kept coordinate at a time, never as a q^e x d digit table.
     """
     q, size = index.shape
-    on_kept = np.zeros_like(index)
-    for place in q ** (d - 1 - np.asarray(kept, dtype=np.int64)):
-        on_kept += index // place % q * place
-    rows, a = np.unique(on_kept.ravel(), return_inverse=True)
-    # Keyed secret first, so each secret's columns are one contiguous block.
-    off_kept = index - on_kept + np.arange(q)[:, None] * q**d
-    cols, r = np.unique(off_kept.ravel(), return_inverse=True)
-    v = np.zeros((len(rows), len(cols)))
-    v[a, r] = 1.0
-    if len(rows) > len(cols):
-        v = np.linalg.qr(v, mode="r")
-    blocks = np.split(v, np.searchsorted(cols // q**d, np.arange(1, q)), axis=1)
-    return [b @ b.T / size for b in blocks]
+    width, flat = index.size, index.ravel()
+    total = len(kept) * width
+    keep = np.zeros((len(kept), d), dtype=bool)
+    for i, coords in enumerate(kept):
+        keep[i, coords] = True
+    on = np.zeros((len(kept), width), dtype=np.int64)
+    for j in np.flatnonzero(keep.any(axis=0)):
+        place = q ** (d - 1 - int(j))
+        np.add(on, flat // place % q * place, out=on, where=keep[:, j, None])
+    # R-patterns keyed by the secret, so no two secrets share one.
+    off = np.repeat(np.arange(q, dtype=np.int64) * q**d, size) + flat - on
+    # A-patterns as ids: their rank within the subset, offset by width per subset.
+    by_on = np.argsort(on, axis=1)
+    ranks = np.cumsum(np.diff(np.take_along_axis(on, by_on, axis=1), prepend=-1) != 0, axis=1)
+    ranks += width * np.arange(len(kept))[:, None] - 1
+    np.put_along_axis(on, by_on, ranks, axis=1)
+    del by_on, ranks  # every array here has q^e entries per subset: drop each early
+    by_off = np.argsort(off, axis=1)
+    ids = np.take_along_axis(on, by_off, axis=1).ravel()
+    del on
+    groups = np.flatnonzero(np.diff(np.take_along_axis(off, by_off, axis=1), prepend=-1))
+    del off, by_off
+    labels = np.minimum.reduceat(ids, groups)
+    sizes = np.diff(groups, append=total)
+    label_of = np.repeat(labels, sizes)
+    owner = np.full(total, -1)
+    owner[ids] = label_of
+    if (owner[ids] != label_of).any():
+        raise RuntimeError(
+            "an A-pattern lies in two blocks; row sets are neither identical nor disjoint"
+        )
+    del ids, label_of
+    rows = np.bincount(owner[owner >= 0], minlength=total)
+    if (sizes != rows[labels]).any():
+        raise RuntimeError("a codeword block is not complete bipartite; the codewords are no coset")
+    heads = np.flatnonzero(rows)  # the labels in order, one per block
+    # Sorted by key, secret s's groups start at places s N to (s + 1) N of a subset's row.
+    block = np.searchsorted(heads, labels) * q + groups % width // size
+    w = np.bincount(block, minlength=heads.size * q).reshape(-1, q) * rows[heads, None]
+    return w, np.searchsorted(heads, width * np.arange(len(kept) + 1))
 
 
 def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
-    """Encode now; then lazily yield (subset, per-secret reductions), by default for all.
+    """Encode now; then lazily yield (subset, entropy in bits, block counts w),
+    by default for all, a batch of subsets at a time.
 
     A player holds the coordinates of its rows (coordinate = row + 1).
     For purified realizations the hidden share is never in a subset, so
@@ -171,14 +209,20 @@ def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
     index, d = _encode(rz.program, cap), rz.program.matrix.rows
-    subsets = subsets_in_order(rz.structure.players) if subsets is None else subsets
-    return ((a, _reduce(index, rz.program.rows_of(a), d)) for a in subsets)
+    subsets = list(subsets_in_order(rz.structure.players) if subsets is None else subsets)
+    step = max(1, _BATCH_CELLS // (rz.q * index.size))
+    p = np.asarray(secret.distribution) / index.shape[1]
 
+    def batches():
+        for lo in range(0, len(subsets), step):
+            batch = subsets[lo : lo + step]
+            w, bounds = _blocks(index, [rz.program.rows_of(a) for a in batch], d)
+            lam = w @ p  # the mixture's eigenvalues
+            terms = lam * np.log2(lam, out=np.zeros_like(lam), where=lam > 0)
+            bits = -np.add.reduceat(terms, bounds[:-1])
+            yield from zip(batch, bits.tolist(), (w[i:j] for i, j in zip(bounds, bounds[1:])))
 
-def _mixture_entropy(reductions, secret: SecretSpec) -> float:
-    """Entropy of the secret-weighted mixture of per-secret reductions."""
-    rho = sum(p_s * red for p_s, red in zip(secret.distribution, reductions) if p_s > 0)
-    return entropy_bits_of(rho)
+    return batches()
 
 
 def oracle_subset_entropy(
@@ -188,12 +232,22 @@ def oracle_subset_entropy(
     a = tuple(sorted(set(a)))
     if not set(a) <= set(rz.structure.players):
         raise ValueError(f"subset {a} contains unknown players")
-    ((_, reductions),) = _sweep(rz, secret, cap, [a])
-    return _mixture_entropy(reductions, secret)
+    ((_, bits, _),) = _sweep(rz, secret, cap, [a])
+    return bits
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+
+
+def _pair_measures(w: np.ndarray, authorized: bool) -> list[tuple[int, int, float]]:
+    """(s, t, x) per pair of secrets s < t: x is the overlap sum_L w_s w_t / N^2
+    on authorized sets and the trace distance sum_L |w_s - w_t| / 2N on the
+    others, 0 exactly when the pair passes (w / N is exact for N < 2^52)."""
+    spectra, pairs = w / w[:, 0].sum(), combinations(range(w.shape[1]), 2)
+    if authorized:
+        return [(s, t, float(spectra[:, s] @ spectra[:, t])) for s, t in pairs]
+    return [(s, t, 0.5 * float(np.abs(spectra[:, s] - spectra[:, t]).sum())) for s, t in pairs]
 
 
 @dataclass(frozen=True)
@@ -222,15 +276,12 @@ def _secrecy_report(rz: SchemeRealization, secret: SecretSpec, sweep) -> Secrecy
         raise ValueError("secrecy sweep needs a full-support secret distribution")
     found: dict[bool, list] = {False: [], True: []}  # authorized -> violations
     checked = 0
-    for subset, reductions in sweep:
+    for subset, _, w in sweep:
         checked += 1
         authorized = is_authorized(rz.structure, subset)
-        for s, t in combinations(range(rz.q), 2):
-            rho, sigma = reductions[s], reductions[t]
-            # Overlap Tr(rho sigma) on authorized sets, trace distance on the others.
-            x = float(np.vdot(sigma, rho).real) if authorized else trace_distance(rho, sigma)
-            if x >= 1e-9:
-                found[authorized].append((subset, s, t, x))
+        # Authorized sets fail where a block holds two secrets, the others where counts differ.
+        if (np.count_nonzero(w, axis=1) > 1).any() if authorized else (w != w[:, :1]).any():
+            found[authorized] += [(subset, *m) for m in _pair_measures(w, authorized) if m[2] > 0]
     return SecrecyReport(checked, tuple(found[False]), tuple(found[True]))
 
 
@@ -250,12 +301,11 @@ class FormulaDiscrepancy:
 
 def _mismatches(rz, secret, sweep, tolerance, into: list):
     """Pass the sweep through, appending each formula disagreement to `into`."""
-    for subset, reductions in sweep:
+    for subset, simulated, w in sweep:
         formula = subset_report(rz, secret, subset).entropy_bits
-        simulated = _mixture_entropy(reductions, secret)
         if abs(formula - simulated) > tolerance:
             into.append(FormulaDiscrepancy(subset, formula, simulated))
-        yield subset, reductions
+        yield subset, simulated, w
 
 
 def compare_with_formula(
@@ -275,7 +325,7 @@ def verify_scheme(
     rz: SchemeRealization, secret: SecretSpec, cap: int = DEFAULT_CAP
 ) -> tuple[list[FormulaDiscrepancy], SecrecyReport]:
     """`compare_with_formula` and `verify_secrecy_recoverability` from one
-    sweep: one encoding, one reduction per subset. A cap or encoding
+    sweep: one encoding, each subset grouped once. A cap or encoding
     error comes before the full-support error."""
     mismatches: list[FormulaDiscrepancy] = []
     sweep = _mismatches(rz, secret, _sweep(rz, secret, cap), FORMULA_TOLERANCE, mismatches)

@@ -229,6 +229,19 @@ def test_css_json_slabs_match_the_whole_array(capsys, t6of11_path):
     assert run_cli(capsys, "css", "--structure", t6of11_path, "--format", "json") == (0, expected, "")
 
 
+@pytest.mark.parametrize("q", [2, 3, 101])
+def test_css_json_matches_json_dumps(capsys, tmp_path, q):
+    # 4-of-7, and one player alone: a secret column and no generators.
+    for n, sets in [(7, itertools.combinations(range(1, 8), 4)), (1, [[1]])]:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": n, "minimal_sets": [list(s) for s in sets]}))
+        g = access.structure_from_json(path.read_text())
+        x_bar, *generators = msp.normal_form_layout(g).array(q).T.tolist()
+        expected = json.dumps({"x_bar": x_bar, "generators": generators}, sort_keys=True) + "\n"
+        argv = ["css", "--structure", str(path), "--q", str(q), "--format", "json"]
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 @pytest.mark.parametrize("command", ["msp", "css"])
 @pytest.mark.parametrize(
     "structure, flags, message",

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanshare.access import from_minimal_sets
 from spanshare.fields import (
     FieldMatrix,
     PrimeField,
-    _padded_text,
     kernel_basis,
     matrix_from_text,
     matrix_to_text,
@@ -16,6 +16,7 @@ from spanshare.fields import (
     rows_to_text,
     solve_combination,
 )
+from spanshare.msp import normal_form_layout
 
 from conftest import brute_rank, brute_solve
 
@@ -234,12 +235,21 @@ def test_rows_to_text_matches_a_per_entry_join(case):
 
 
 def test_one_digit_cells_match_the_padded_cells():
-    # q <= 7 takes the one-uint16-per-entry path; wider q the padded one.
+    # q <= 7 takes the one-uint16-per-entry path; wider q joins the longer
+    # entries in at NULs, including values past one byte and past uint16.
     rng = np.random.default_rng(7)
-    for q in (2, 7, 11, 101):
+    for q in (2, 7, 11, 101, 65521, 100003):
         for shape in ((1, 1), (9, 13), (40, 2)):
             array = rng.integers(0, q, shape).astype(np.min_scalar_type(q - 1))
             joined = "".join(" ".join(map(str, row)) + "\n" for row in array.tolist())
-            assert _padded_text(array, len(str(q - 1))) == joined
             assert rows_to_text(array, q) == joined
             assert rows_to_text(np.asfortranarray(array), q) == joined  # `css` prints a transpose
+    # The normal form's entries are 0, 1 and q - 1.
+    layout = normal_form_layout(from_minimal_sets(4, [[1, 2], [2, 3], [2, 4], [1, 3, 4]]))
+    for q in (11, 101):
+        array = layout.array(q)
+        joined = "".join(" ".join(map(str, row)) + "\n" for row in array.tolist())
+        assert rows_to_text(array, q) == joined
+        assert rows_to_text(array.T, q) == "".join(
+            " ".join(map(str, column)) + "\n" for column in array.T.tolist()
+        )

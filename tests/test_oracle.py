@@ -1,5 +1,6 @@
 """State-vector oracle: encodings, reductions, secrecy, formula checks."""
 
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -14,7 +15,7 @@ from spanshare.fields import FieldMatrix
 from spanshare.msp import MonotoneSpanProgram, build_normal_form, to_css
 from spanshare.oracle import (
     PureState,
-    _mixture_entropy,
+    _pair_measures,
     _reduce_pure,
     _sweep,
     basis_index,
@@ -310,14 +311,10 @@ def dense_measures(rz, secret, subset):
 
 
 def assert_sweep_matches_dense(rz, secret):
-    pairs = list(combinations(range(rz.q), 2))
-    for subset, reductions in _sweep(rz, secret, oracle.DEFAULT_CAP):
+    for subset, bits, w in _sweep(rz, secret, oracle.DEFAULT_CAP):
         entropy, measures = dense_measures(rz, secret, subset)
-        assert abs(_mixture_entropy(reductions, secret) - entropy) < 1e-10, subset
-        if is_authorized(rz.structure, subset):
-            swept = [np.vdot(reductions[t], reductions[s]).real for s, t in pairs]
-        else:
-            swept = [trace_distance(reductions[s], reductions[t]) for s, t in pairs]
+        assert abs(bits - entropy) < 1e-10, subset
+        swept = [x for _, _, x in _pair_measures(w, is_authorized(rz.structure, subset))]
         assert np.allclose(swept, measures, rtol=0, atol=1e-10), subset
 
 
@@ -353,8 +350,7 @@ def test_flipped_program_entry_is_caught_and_matches_dense(triangle_rz, fan_rz, 
     mismatches, report = verify_scheme(flipped(triangle_rz, 1, 1), uniform2)
     assert [m.subset for m in mismatches] == [(1,), (1, 3), (2, 3)]
     assert [v[:3] for v in report.secrecy_violations] == [((2,), 0, 1)]
-    # Every flip, on the fan too: its flips reach cases of `_reduce`'s QR
-    # branch (V taller than wide) that the triangle's do not.
+    # Every single-entry flip of both programs, against the dense reference.
     for rz in (triangle_rz, fan_rz):
         for row in range(rz.program.matrix.rows):
             for col in range(rz.program.matrix.cols):
@@ -378,31 +374,66 @@ def test_encoding_checks_collisions_and_coset_overlap(triangle_rz, uniform2):
         verify_scheme(flipped(triangle_rz, None, 0, 0), uniform2)
 
 
+def test_codewords_off_their_coset_fail_the_block_checks(
+    triangle_rz, uniform2, monkeypatch, tmp_path, capsys
+):
+    # 000000 -> 000001 collides with no codeword, so `_encode` passes it
+    # and only the sweep's block checks can see it.
+    index = oracle.codewords(triangle_rz.program)
+    index[0, 0] = 1
+    monkeypatch.setattr(oracle, "codewords", lambda msp: index.copy())
+    with pytest.raises(RuntimeError, match="neither identical nor disjoint"):
+        oracle_subset_entropy(triangle_rz, uniform2, (3,))
+    with pytest.raises(RuntimeError, match="not complete bipartite"):
+        oracle_subset_entropy(triangle_rz, uniform2, (1, 2))
+    path = tmp_path / "triangle.json"
+    path.write_text('{"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}')
+    assert cli.main(["verify-oracle", "--structure", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: an A-pattern lies in two blocks; row sets are neither identical nor disjoint\n"
+    )
+
+
+def test_keys_past_64_bits_are_a_one_line_input_error(tmp_path, capsys):
+    # 4-of-7 has d = 140: within a cap of 2^140, but its keys need 141 bits.
+    path = tmp_path / "t4of7.json"
+    sets = [list(c) for c in combinations(range(1, 8), 4)]
+    path.write_text(json.dumps({"n": 7, "minimal_sets": sets}))
+    argv = ["verify-oracle", "--structure", str(path), "--cap", str(2**140)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: q^(d+1) = 2^141 overflows the oracle's 64-bit codeword keys\n"
+
+
 def test_verify_oracle_encodes_once_and_reduces_each_subset_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "fan.json"
     path.write_text('{"n": 3, "minimal_sets": [[1,2],[1,3]]}')
-    calls = {"codewords": 0, "reduce": []}
-    real_codewords, real_reduce = oracle.codewords, oracle._reduce
+    calls = {"codewords": 0, "grouped": []}
+    real_codewords, real_blocks = oracle.codewords, oracle._blocks
 
     def counted_codewords(msp):
         calls["codewords"] += 1
         return real_codewords(msp)
 
-    def counted_reduce(index, kept, d):
-        calls["reduce"].append(tuple(kept))
-        return real_reduce(index, kept, d)
+    def counted_blocks(index, kept, d):
+        calls["grouped"] += [tuple(k) for k in kept]
+        return real_blocks(index, kept, d)
 
     def dense(*args, **kwargs):
         raise AssertionError("the sweep built a dense state")
 
     monkeypatch.setattr(oracle, "codewords", counted_codewords)
-    monkeypatch.setattr(oracle, "_reduce", counted_reduce)
+    monkeypatch.setattr(oracle, "_blocks", counted_blocks)
     for name in ("encode_secret", "_reduce_pure", "reduced_entropy", "PureState"):
         monkeypatch.setattr(oracle, name, dense)
+    monkeypatch.setattr(np, "linalg", None)  # the sweep never diagonalizes
     assert cli.main(["verify-oracle", "--structure", str(path), "--q", "3"]) == 0
     assert capsys.readouterr().out == "OK: 8/8 subsets match; secrecy OK; recoverability OK\n"
     assert calls["codewords"] == 1
-    assert len(calls["reduce"]) == len(set(calls["reduce"])) == 8
+    assert len(calls["grouped"]) == len(set(calls["grouped"])) == 8
 
 
 @pytest.mark.parametrize(
