@@ -114,9 +114,14 @@ class AccessStructure:
         return np.array(list(map(len, self.minimal_sets)), dtype=np.int64)
 
     @cached_property
+    def inside_table(self) -> np.ndarray:
+        """K[S], the number of minimal sets inside S, for all 2^n masks S: built once."""
+        return inside_counts(self.n, self.masks)
+
+    @cached_property
     def authorized_table(self) -> np.ndarray:
         """auth[S] for all 2^n masks S: whether S contains a minimal set."""
-        return inside_counts(self.n, self.masks) > 0
+        return self.inside_table > 0
 
     @cached_property
     def _realizable(self) -> bool:
@@ -360,14 +365,15 @@ def purify(g: AccessStructure) -> AccessStructure:
     return result
 
 
-def maximal_unauthorized(g: AccessStructure) -> list[Subset]:
-    """Unauthorized sets whose every proper superset is authorized.
+def _maximal_unauthorized_masks(g: AccessStructure) -> np.ndarray:
+    # The complements of the dual's minimal sets, read off the dual's table.
+    return ((1 << g.n) - 1) ^ _minimal_masks_of(g.n, ~g.authorized_table[::-1])
 
-    They are the complements of the dual's minimal authorized sets,
-    read off the dual's table without building the dual structure.
-    """
-    dual_minimal = _minimal_masks_of(g.n, ~g.authorized_table[::-1])
-    return _canonical(map(_members, (((1 << g.n) - 1) ^ dual_minimal).tolist()))
+
+def maximal_unauthorized(g: AccessStructure) -> list[Subset]:
+    """Unauthorized sets whose every proper superset is authorized: the
+    complements of the dual's minimal sets, found without building the dual."""
+    return _canonical(map(_members, _maximal_unauthorized_masks(g).tolist()))
 
 
 def enumerate_structures(

@@ -353,14 +353,14 @@ def extremal_check(
     """
     rz, auth, cut = _sweep(g, secret, rz)
 
-    def side(flag: np.ndarray, extremal_sets) -> tuple[EntropyReport, bool]:
+    def side(flag: np.ndarray, extremal_masks: np.ndarray) -> tuple[EntropyReport, bool]:
         top = cut[flag].max()
         first = min(np.flatnonzero(flag & (cut == top)).tolist(), key=_subset_order)
-        attained = any(cut[access._mask(a, g.n)] == top for a in extremal_sets)
+        attained = bool((cut[extremal_masks] == top).any())
         return subset_report(rz, secret, access._members(first)), attained
 
     return ExtremalReport(
-        *side(auth, g.minimal_sets), *side(~auth, access.maximal_unauthorized(g))
+        *side(auth, g.masks), *side(~auth, access._maximal_unauthorized_masks(g))
     )
 
 

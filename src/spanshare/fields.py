@@ -4,7 +4,7 @@ Everything here works on plain Python integers reduced to canonical
 representatives in [0, q-1], so ranks, solved coefficients and kernel
 vectors are exact (no floating point anywhere). Elimination uses
 first-nonzero pivoting, which makes every result deterministic. numpy
-enters only as array input and in `rows_to_text`, the shared formatter.
+enters only in printing, through `rows_to_text`, the shared formatter.
 """
 
 from __future__ import annotations
@@ -41,17 +41,13 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
-    def canon(self, x: int) -> int:
-        return x % self.q
-
 
 @dataclass(frozen=True)
 class FieldMatrix:
     """Immutable d x e matrix with entries canonical in [0, q-1].
 
     `cols` must be given explicitly when there are no rows, since a
-    0 x e matrix still has a well-defined kernel. `entries` may also be a
-    2-D integer array, reduced mod q into tuple rows.
+    0 x e matrix still has a well-defined kernel.
     """
 
     field: PrimeField
@@ -60,15 +56,6 @@ class FieldMatrix:
 
     def __post_init__(self):
         q = self.field.q
-        if isinstance(self.entries, np.ndarray):
-            array = self.entries
-            if array.ndim != 2 or 0 <= self.cols != array.shape[1]:
-                raise ValueError("matrix array must be 2-D with the given column count")
-            # Reduce 256 rows and list one row at a time: no full-size copy is ever held.
-            rows = (r.tolist() for i in range(0, len(array), 256) for r in array[i : i + 256] % q)
-            object.__setattr__(self, "cols", array.shape[1])
-            object.__setattr__(self, "entries", tuple(map(tuple, rows)))
-            return
         if self.cols < 0:
             if not self.entries:
                 raise ValueError("column count required for a matrix with no rows")

@@ -7,10 +7,11 @@ normal form stacks, per minimal authorized set A_i of size r_i + 1, an
 identity block I_{r_i} in a private column band and one closing row
 carrying 1 in the secret column and -1 across the band. The identity
 rows are labeled with the first r_i participants of A_i and the
-closing row with the last, both in presentation order.
+closing row with the last, both in presentation order. A layout holds
+only that presentation and its structure, and derives its geometry.
 The matrix is laid out only by `NormalFormLayout.array`, whole or one
-window at a time; `NormalFormLayout.program` is the one place it becomes
-a program, and the printers format it a slab of rows or columns at a time.
+window at a time; `NormalFormLayout.program` (the one place it becomes a
+program) and the printers read it a slab of rows or columns at a time.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
-from .access import AccessStructure, Subset, from_minimal_sets, inside_counts
+from .access import AccessStructure, Subset
 from .access import is_authorized, is_connected, is_realizable, subsets_in_order
 from .fields import (
     FieldMatrix,
@@ -70,30 +71,33 @@ class MonotoneSpanProgram:
 
 @dataclass(frozen=True)
 class NormalFormLayout:
-    """Block geometry of a normal-form matrix.
-
-    d = sum |A_i| rows, e = c + 1 columns with c = sum (|A_i| - 1).
-    Block i owns the half-open row range row_blocks[i] and block_sizes[i]
-    band columns; the bands follow column 0, the secret's, in block order.
-    `structure` is the structure laid out, whose mask array the cut table reads.
+    """Block geometry of a normal-form matrix: the presentation, which pins
+    the matrix and is all equality compares, and the structure laid out,
+    whose K table the cut table reads. The rest is derived on first use:
+    block i owns the rows up to the i-th cumulative set size and
+    r_i = |A_i| - 1 band columns, after column 0, the secret's;
+    d = sum |A_i| rows and e = c + 1 columns, c = d - k.
     """
 
     minimal_set_order: tuple[Subset, ...]
-    block_sizes: tuple[int, ...]  # r_i = |A_i| - 1
-    row_blocks: tuple[tuple[int, int], ...]
     structure: AccessStructure = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return len(self.minimal_set_order)
 
-    @property
-    def c(self) -> int:
-        return sum(self.block_sizes)
+    @cached_property
+    def _row_ends(self) -> np.ndarray:
+        """One past each block's last row, its closing row."""
+        return np.cumsum(np.fromiter(map(len, self.minimal_set_order), np.int64, self.k))
+
+    @cached_property
+    def d(self) -> int:
+        return int(self._row_ends[-1])
 
     @property
-    def d(self) -> int:
-        return self.c + self.k
+    def c(self) -> int:
+        return self.d - self.k
 
     @property
     def e(self) -> int:
@@ -130,8 +134,8 @@ class NormalFormLayout:
     def _nonzeros(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
         """The identity, secret and band entries as (rows, cols, value) families."""
         band = np.arange(1, self.e)
-        blocks = np.repeat(np.arange(self.k), self.block_sizes)
-        closing = np.array([hi - 1 for _, hi in self.row_blocks])
+        blocks = np.repeat(np.arange(self.k), np.diff(self._row_ends, prepend=0) - 1)
+        closing = self._row_ends - 1
         secret = np.zeros(self.k, dtype=band.dtype)
         return (band - 1 + blocks, band, 1), (closing, secret, 1), (closing[blocks], band, -1)
 
@@ -142,7 +146,9 @@ class NormalFormLayout:
         every band column, and any closing row then adds the secret column.
         """
         fq = PrimeField(q)
-        return MonotoneSpanProgram(fq, FieldMatrix(fq, self.array(q), self.e), self.psi)
+        slabs = (self.array(q, rows).tolist() for rows in _slabs(self.d, self.e))
+        rows = tuple(map(tuple, chain.from_iterable(slabs)))
+        return MonotoneSpanProgram(fq, FieldMatrix(fq, rows, self.e), self.psi)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -157,14 +163,14 @@ class NormalFormLayout:
         cut[S] = k - K[S] - K[~S] counts the minimal sets meeting both S and its
         complement. `entropy` proves it is the rank excess of a self-dual structure.
         """
-        counts = inside_counts(self.structure.n, self.structure.masks)
+        counts = self.structure.inside_table
         # Reversing the table maps S to full ^ S, its complement.
-        return counts > 0, self.k - counts - counts[::-1]
+        return self.structure.authorized_table, self.k - counts - counts[::-1]
 
     def block_of_row(self, row: int) -> int | None:
-        for i, (lo, hi) in enumerate(self.row_blocks):
-            if lo <= row < hi:
-                return i
+        """The block owning `row`, or None for a row outside the matrix."""
+        if 0 <= row < self.d:
+            return int(np.searchsorted(self._row_ends, row, side="right"))
         return None
 
 
@@ -179,10 +185,7 @@ def normal_form_layout(g: AccessStructure) -> NormalFormLayout:
         raise ValueError("structure admits two disjoint authorized sets; not realizable")
     if not is_connected(g):
         raise ValueError("structure has a player outside every minimal set")
-    order = g.presentation
-    sizes = tuple(len(a) - 1 for a in order)
-    rows = tuple(accumulate((len(a) for a in order), initial=0))
-    return NormalFormLayout(order, sizes, tuple(zip(rows, rows[1:])), g)
+    return NormalFormLayout(g.presentation, g)
 
 
 def build_normal_form(
@@ -376,14 +379,13 @@ def row_independence_case(
         raise ValueError(f"{a_i} is not a minimal set of the program")
     if p not in a_i:
         raise ValueError("minimal set must contain the pivot player")
-    g = from_minimal_sets(max(players), layout.minimal_set_order)
     b = tuple(sorted(players - set(a) - {p}))
-    if not is_authorized(g, b):
+    if not is_authorized(layout.structure, b):
         raise ValueError("remaining players must form an authorized set")
 
     block = order.index(a_i)
-    lo, hi = layout.row_blocks[block]
-    row = next(i for i in range(lo, hi) if msp.psi[i] == p)
+    hi = int(layout._row_ends[block])
+    row = next(i for i in range(hi - len(a_i), hi) if msp.psi[i] == p)
     complement = players - set(a)  # includes p
     a_prime = set(a) | {p}
     dep = not _independent_within(msp, row, msp.rows_of(complement))

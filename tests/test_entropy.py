@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanshare import access
 from spanshare.access import classify, enumerate_structures, from_minimal_sets, purify
 from spanshare.entropy import (
     SecretSpec,
@@ -561,3 +563,27 @@ def test_entropy_queries_never_build_the_program(star4, fan, uniform2):
         chain_profile(g, uniform2, greedy_chain(g), rz)
         subset_report(rz, uniform2, (1, 2))
         assert "program" not in rz.__dict__
+
+
+def test_one_zeta_table_per_structure(monkeypatch, uniform2):
+    # The given structure's table answers `classify`, and `purify` and the
+    # cut table read the realized structure's: one transform per structure.
+    calls = []
+    original = access.inside_counts
+
+    def counted(n, masks):
+        calls.append(n)
+        return original(n, masks)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("spanshare")]:
+        if getattr(module, "inside_counts", None) is original:
+            monkeypatch.setattr(module, "inside_counts", counted)
+    for sets, expected in (([[1, 2], [2, 3], [3, 1]], [3]), ([[1, 2], [1, 3]], [3, 4])):
+        g = from_minimal_sets(3, sets)  # fresh: the fixtures' tables may be cached
+        calls.clear()
+        rz = realize(g, 2)
+        verify_monotonicity(g, uniform2, rz)
+        extremal_check(g, uniform2, rz)
+        chain_profile(g, uniform2, greedy_chain(g), rz)
+        subset_report(rz, uniform2, (1, 2))
+        assert calls == expected

@@ -1,5 +1,6 @@
 """Normal-form span programs: construction, acceptance, rank accounting."""
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -71,6 +72,12 @@ def test_normal_form_respects_presentation_member_order(triangle):
     program, layout = build_normal_form(triangle, 2)
     assert layout.minimal_set_order == ((1, 2), (2, 3), (3, 1))
     assert program.psi[4] == 3 and program.psi[5] == 1
+    # The layout is its presentation and structure: a second presentation
+    # of the same structure lays out a different matrix.
+    assert [f.name for f in dataclasses.fields(layout)] == ["minimal_set_order", "structure"]
+    other = normal_form_layout(from_minimal_sets(3, [[2, 1], [3, 2], [1, 3]]))
+    assert normal_form_layout(from_minimal_sets(3, [[1, 2], [2, 3], [3, 1]])) == layout
+    assert other != layout and other.structure == layout.structure
 
 
 def test_normal_form_over_f3(triangle):
@@ -96,24 +103,34 @@ def test_normal_form_text_matches_the_built_program():
 
 
 def test_normal_form_matches_rows_built_block_by_block():
-    # The row-by-row construction the layout's array replaced.
+    # The row-by-row construction the layout's array replaced, on a
+    # threshold (equal blocks), a hub (unequal blocks) and a triangle
+    # whose members are presented out of order.
     q = 3
-    g = from_minimal_sets(5, [list(c) for c in itertools.combinations(range(1, 6), 3)])
-    e = 1 + sum(len(a) - 1 for a in g.presentation)
-    rows, psi, col = [], [], 1
-    for a_i in g.presentation:
-        r_i = len(a_i) - 1
-        for t in range(r_i):
-            rows.append(tuple(1 if j == col + t else 0 for j in range(e)))
-        rows.append(tuple(1 if j == 0 else q - 1 if col <= j < col + r_i else 0 for j in range(e)))
-        psi.extend(a_i)
-        col += r_i
-    program, layout = build_normal_form(g, q)
-    assert program.matrix.entries == tuple(rows) and program.psi == tuple(psi)
-    assert program.matrix.cols == e == layout.e
-    assert normal_form_layout(g) == layout
-    with pytest.raises(ValueError, match="prime"):
-        layout.array(4)
+    for n, sets in [
+        (5, [list(c) for c in itertools.combinations(range(1, 6), 3)]),
+        (6, [[1, i] for i in range(2, 7)] + [list(range(2, 7))]),
+        (3, [[2, 1], [3, 2], [1, 3]]),
+    ]:
+        g = from_minimal_sets(n, sets)
+        e = 1 + sum(len(a) - 1 for a in g.presentation)
+        rows, psi, blocks, col = [], [], [], 1
+        for i, a_i in enumerate(g.presentation):
+            r_i = len(a_i) - 1
+            for t in range(r_i):
+                rows.append(tuple(1 if j == col + t else 0 for j in range(e)))
+            closing = (1 if j == 0 else q - 1 if col <= j < col + r_i else 0 for j in range(e))
+            rows.append(tuple(closing))
+            psi.extend(a_i)
+            blocks += [i] * len(a_i)
+            col += r_i
+        program, layout = build_normal_form(g, q)
+        assert program.matrix.entries == tuple(rows) and program.psi == tuple(psi)
+        assert program.matrix.cols == e == layout.e and layout.d == len(rows)
+        assert normal_form_layout(g) == layout
+        assert [layout.block_of_row(r) for r in range(-1, layout.d + 1)] == [None, *blocks, None]
+        with pytest.raises(ValueError, match="prime"):
+            layout.array(4)
 
 
 def test_array_windows_tile_the_whole_array():
