@@ -65,14 +65,18 @@ class AccessStructure:
     lexicographically, members ascending) and is what equality and
     hashing use. `presentation` preserves the order in which the sets
     and their members were supplied; the span-program builder uses it
-    to lay out blocks and label rows deterministically.
+    to lay out blocks and label rows deterministically. `masks` holds
+    the minimal sets as bitmasks, in `minimal_sets` order.
+
+    Every structure is checked by `from_minimal_sets`: built directly,
+    a structure must be exactly what that function makes of its sets.
     """
 
     n: int
     minimal_sets: tuple[Subset, ...]
     presentation: tuple[Subset, ...] = field(compare=False, default=())
-    # The masks in canonical order, passed only by `from_minimal_sets`,
-    # which has made every check below on the sets it built them from.
+    masks: np.ndarray = field(init=False, compare=False, repr=False)
+    # Passed only by `from_minimal_sets`, which has checked the sets it built them from.
     _masks: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _masks):
@@ -80,33 +84,24 @@ class AccessStructure:
             raise ValueError("need at least one player")
         if not self.minimal_sets:
             raise ValueError("at least one minimal authorized set is required")
-        if _masks is not None:
-            self.__dict__["masks"] = _masks
-            return
-        sets = self.minimal_sets
-        for s in sets:
-            if not s or list(s) != sorted(set(s)):
-                raise ValueError(f"set {s} must be nonempty with ascending members")
-        # By size for the passes: whether the sets are in canonical order is checked next.
-        order = sorted(range(len(sets)), key=list(map(len, sets)).__getitem__)
-        masks, sizes = self.masks[order], self._sizes[order]
-        if len(set(sets)) < len(sets) or _inside_each(masks, sizes).any():
-            raise ValueError("minimal sets must form an antichain")
-        if list(sets) != _canonical(sets):
-            raise ValueError("minimal sets must be sorted by size then lexicographically")
-        if not self.presentation:
-            object.__setattr__(self, "presentation", sets)
-        elif {frozenset(s) for s in self.presentation} != {frozenset(s) for s in sets}:
-            raise ValueError("presentation must list the same sets")
+        if _masks is None:
+            sets = self.minimal_sets
+            built = from_minimal_sets(self.n, sets)
+            if built.minimal_sets != sets:
+                raise ValueError(
+                    "minimal sets must form an antichain, members ascending, "
+                    "sets sorted by size then lexicographically"
+                )
+            _masks = built.masks
+            if not self.presentation:
+                object.__setattr__(self, "presentation", sets)
+            elif {frozenset(s) for s in self.presentation} != {frozenset(s) for s in sets}:
+                raise ValueError("presentation must list the same sets")
+        object.__setattr__(self, "masks", _masks)
 
     @property
     def players(self) -> Subset:
         return tuple(range(1, self.n + 1))
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        """The minimal sets as bitmasks, in `minimal_sets` order."""
-        return _mask_array(_masks_of(self.minimal_sets, self.n), self.n)
 
     @cached_property
     def _sizes(self) -> np.ndarray:
@@ -214,6 +209,7 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
     A set that strictly contains another listed set is redundant and is
     removed; two sets with the same members are an error. Faults are
     found in C-level passes, and the first one in input order is named.
+    Every structure is checked and given its masks here.
     """
     if n < 1:
         raise ValueError("need at least one player")
@@ -299,15 +295,15 @@ def _minimal_masks_of(n: int, table: np.ndarray) -> np.ndarray:
     return np.flatnonzero(minimal)
 
 
-def _minimal_sets_of(n: int, table: np.ndarray) -> tuple[Subset, ...]:
-    """Minimal elements of a monotone family given as a table over all 2^n masks."""
-    return tuple(_canonical(map(_members, _minimal_masks_of(n, table).tolist())))
+def _structure_of(n: int, table: np.ndarray) -> AccessStructure:
+    """The structure authorizing a monotone family given as a table over all 2^n masks."""
+    return from_minimal_sets(n, _canonical(map(_members, _minimal_masks_of(n, table).tolist())))
 
 
 def dual(g: AccessStructure) -> AccessStructure:
     """The structure authorizing exactly the complements of unauthorized sets."""
     # Reversing the table maps S to full ^ S, its complement.
-    return AccessStructure(g.n, _minimal_sets_of(g.n, ~g.authorized_table[::-1]))
+    return _structure_of(g.n, ~g.authorized_table[::-1])
 
 
 @dataclass(frozen=True)
@@ -357,7 +353,7 @@ def purify(g: AccessStructure) -> AccessStructure:
     n1 = g.n + 1
     _check_cap(n1)
     auth = g.authorized_table  # auth[::-1] is auth at the complement
-    result = AccessStructure(n1, _minimal_sets_of(n1, np.concatenate((auth, auth | ~auth[::-1]))))
+    result = _structure_of(n1, np.concatenate((auth, auth | ~auth[::-1])))
     if not _is_self_dual(result.authorized_table):
         raise RuntimeError("purification produced a non-self-dual structure")
     if not np.array_equal(result.authorized_table[: 1 << g.n], auth):
@@ -402,7 +398,7 @@ def enumerate_structures(
     def grow(start: int, chosen: list[int], covered: int):
         if chosen:
             if not connected_only or covered == full:
-                yield AccessStructure(n, tuple(_canonical(map(_members, chosen))))
+                yield from_minimal_sets(n, map(_members, chosen))
         for i in range(start, len(all_masks)):
             m = all_masks[i]
             if compatible(m, chosen):

@@ -295,10 +295,10 @@ def chain_profile(
             raise ValueError("chain must add exactly one player per step")
     rz = rz or realize(g, secret.q)
     reports = tuple(subset_report(rz, secret, step) for step in chain)
-    crossover = next(i for i, r in enumerate(reports) if r.authorized)
     flags = [r.authorized for r in reports]
-    if flags != sorted(flags):
+    if flags != sorted(flags) or not flags[-1]:
         raise RuntimeError("authorization must flip exactly once along a chain")
+    crossover = flags.index(True)
     if reports[0].rank_excess != 0:
         raise RuntimeError("empty set must carry zero entropy")
     final = reports[-1]

@@ -426,3 +426,62 @@ def test_direct_construction_rejects_a_non_antichain():
         AccessStructure(3, ((1,), (1, 2)))
     with pytest.raises(ValueError, match="antichain"):
         AccessStructure(4, ((1, 2), (3, 4), (1, 2, 3)))
+
+
+def test_every_structure_is_built_by_from_minimal_sets(monkeypatch):
+    calls = []
+    built = access.from_minimal_sets
+
+    def counted(n, sets):
+        calls.append(n)
+        return built(n, sets)
+
+    monkeypatch.setattr(access, "from_minimal_sets", counted)
+    g = built(3, [[1, 2], [1, 3]])
+    for make in (
+        lambda: dual(g),
+        lambda: purify(g),
+        lambda: next(enumerate_structures(3)),
+        lambda: AccessStructure(3, ((1, 2), (1, 3))),
+    ):
+        calls.clear()
+        make()
+        assert len(calls) == 1
+
+
+def test_direct_construction_is_what_from_minimal_sets_builds():
+    for g in enumerate_structures(4):
+        direct = AccessStructure(g.n, g.minimal_sets)
+        built = from_minimal_sets(g.n, g.minimal_sets)
+        assert (direct, direct.minimal_sets, direct.presentation) == (
+            built,
+            built.minimal_sets,
+            built.presentation,
+        )
+        assert direct.masks.dtype == built.masks.dtype
+        assert direct.masks.tolist() == built.masks.tolist()
+
+
+CANONICAL = "minimal sets must form an antichain, members ascending, sets sorted by size then"
+
+
+@pytest.mark.parametrize(
+    "n, sets, presentation, message",
+    [
+        (0, ((1,),), (), "need at least one player"),
+        (3, (), (), "at least one minimal authorized set is required"),
+        (3, ((),), (), "authorized sets must be nonempty"),
+        (3, ((1, 4),), (), r"player 4 out of range 1\.\.3"),
+        (3, ((1, 1),), (), r"repeated player in set \(1, 1\)"),
+        (3, ((2, 1),), (), CANONICAL),  # members out of order
+        (3, ((1, 3), (1, 2)), (), CANONICAL),  # sets out of canonical order
+        (3, ((1, 3), (2,)), (), CANONICAL),  # ... by size
+        (3, ((1, 2), (1, 2)), (), "duplicate minimal set"),
+        (3, ((1,), (1, 2)), (), CANONICAL),  # a superset of another set
+        (3, ((1, 2),), ((1, 3),), "presentation must list the same sets"),
+        (3, ((1, 2), (1, 3)), ((1, 2),), "presentation must list the same sets"),
+    ],
+)
+def test_malformed_direct_construction_is_rejected(n, sets, presentation, message):
+    with pytest.raises(ValueError, match=message):
+        AccessStructure(n, sets, presentation)

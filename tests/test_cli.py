@@ -12,8 +12,16 @@ import pytest
 
 import spanshare
 from spanshare import access, cli, msp
-from spanshare.entropy import EntropyReport, MonotonicityViolation
+from spanshare.entropy import (
+    EntropyReport,
+    MonotonicityViolation,
+    SecretSpec,
+    chain_profile,
+    greedy_chain,
+)
 from spanshare.fields import FieldMatrix, rows_to_text
+
+from test_oracle import flipped
 
 TRIANGLE_JSON = '{"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}'
 FAN_JSON = '{"n": 3, "minimal_sets": [[1,2],[1,3]]}'
@@ -490,6 +498,75 @@ def test_invariant_failure_is_a_one_line_error(capsys, tri_path, monkeypatch):
     code, out, err = run_cli(capsys, "profile", "--structure", tri_path)
     assert (code, out) == (2, "")
     assert err == "error: authorization must flip exactly once along a chain\n"
+
+
+@pytest.mark.parametrize(
+    "row, col, expected",
+    [
+        (
+            1,
+            1,
+            "MISMATCH 1: formula 2.000000000 oracle 1.000000000\n"
+            "MISMATCH 1-3: formula 3.000000000 oracle 2.000000000\n"
+            "MISMATCH 2-3: formula 3.000000000 oracle 2.000000000\n"
+            "SECRECY LEAK ((2,), 0, 1, 1.0)\n",
+        ),
+        (
+            0,
+            0,
+            "MISMATCH 1-2: formula 3.000000000 oracle 2.000000000\n"
+            "RECOVERY FAILURE ((1, 2), 0, 1, 0.25)\n",
+        ),
+    ],
+)
+def test_verify_oracle_prints_every_violation(capsys, tri_path, monkeypatch, row, col, expected):
+    # The sweep reads the program matrix, the formula the layout: one
+    # corrupted matrix entry shows as mismatches and a broken scheme.
+    realize = cli.entropy.realize
+    monkeypatch.setattr(cli.entropy, "realize", lambda g, q: flipped(realize(g, q), row, col))
+    code, out, err = run_cli(capsys, "verify-oracle", "--structure", tri_path)
+    assert (code, out, err) == (2, expected, "")
+
+
+@pytest.mark.parametrize(
+    "sets, auth_at, cut_at, code, message",
+    [
+        # Raised by the report before any contract is asked.
+        ([[1, 2], [2, 3], [3, 1]], {}, {0b000: 1}, 1, "subset ranks cannot exceed the full rank"),
+        ([[1, 2], [2, 3], [3, 1]], {}, {0b111: 1}, 1, "subset ranks cannot exceed the full rank"),
+        ([[1, 2], [2, 3], [3, 1]], {0b001: True, 0b011: False}, {}, 2,
+         "authorization must flip exactly once along a chain"),
+        ([[1]], {0b1: False}, {}, 2, "authorization must flip exactly once along a chain"),
+        ([[1]], {0b0: True}, {0b0: 1}, 2, "empty set must carry zero entropy"),
+        ([[1, 2], [2, 3], [3, 1]], {}, {0b111: -1}, 2,
+         "full set of a pure scheme must carry exactly the secret entropy"),
+        # The fan is purified: 0b111 is its full original set.
+        ([[1, 2], [1, 3]], {}, {0b111: -1}, 2, "full set must carry at least the secret entropy"),
+    ],
+)
+def test_chain_contracts_fire_on_a_corrupted_cut_table(
+    capsys, tmp_path, monkeypatch, sets, auth_at, cut_at, code, message
+):
+    realize = cli.entropy.realize
+
+    def corrupted(g, q):
+        rz = realize(g, q)
+        auth, cut = (table.copy() for table in rz.layout.cut_table)
+        for at, table in ((auth_at, auth), (cut_at, cut)):
+            for mask, value in at.items():
+                table[mask] = value
+        rz.layout.__dict__["cut_table"] = (auth, cut)
+        return rz
+
+    g = access.from_minimal_sets(max(map(max, sets)), sets)
+    error = RuntimeError if code == 2 else ValueError
+    with pytest.raises(error) as info:
+        chain_profile(g, SecretSpec.uniform(2), greedy_chain(g), corrupted(g, 2))
+    assert str(info.value) == message
+    path = tmp_path / "g.json"
+    path.write_text(access.structure_to_json(g))
+    monkeypatch.setattr(cli.entropy, "realize", corrupted)
+    assert run_cli(capsys, "profile", "--structure", str(path)) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("crash", [RecursionError, NotImplementedError])

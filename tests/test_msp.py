@@ -240,6 +240,12 @@ def test_computes(tri_program, triangle):
     assert computes(build_normal_form(g1, 2)[0], g1)
 
 
+def test_computes_is_false_on_another_player_count(tri_program):
+    # The triangle's sets on four players: same acceptance, one player more.
+    program, _ = tri_program
+    assert not computes(program, from_minimal_sets(4, [[1, 2], [2, 3], [3, 1]]))
+
+
 def test_every_small_structure_is_computed():
     for n in range(1, 5):
         for g in enumerate_structures(n, realizable_only=True, connected_only=True):

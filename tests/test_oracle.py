@@ -255,6 +255,13 @@ def test_simulation_cap(triangle_rz, uniform2):
         oracle_subset_entropy(triangle_rz, uniform2, (1,), cap=32)
 
 
+def test_oracle_guards_name_the_fault(triangle_rz, uniform2):
+    with pytest.raises(ValueError, match="secret field does not match the program field"):
+        _sweep(triangle_rz, SecretSpec.uniform(3), oracle.DEFAULT_CAP)
+    with pytest.raises(ValueError, match=r"subset \(1, 4\) contains unknown players"):
+        oracle_subset_entropy(triangle_rz, uniform2, (4, 1))
+
+
 def test_formula_and_oracle_disagree_on_nothing_but_match_reports(
     triangle_rz, uniform2
 ):
