@@ -65,6 +65,11 @@ from .fields import PrimeField
 from .msp import MonotoneSpanProgram, NormalFormLayout, normal_form_layout
 
 
+def check_field_size(q: int) -> None:
+    if q < 2:
+        raise ValueError(f"field size must be at least 2, got {q}")
+
+
 @dataclass(frozen=True)
 class SecretSpec:
     """Classical secret ensemble: a probability for each value in F_q."""
@@ -73,8 +78,7 @@ class SecretSpec:
     distribution: tuple[float, ...]
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"field size must be at least 2, got {self.q}")
+        check_field_size(self.q)
         if len(self.distribution) != self.q:
             raise ValueError("need one probability per field element")
         # NaN compares false both ways, so `p < 0` and the sum check let it through.
@@ -161,6 +165,17 @@ def realize(g: AccessStructure, q: int = 2) -> SchemeRealization:
     return SchemeRealization(g, layout, hidden, q)
 
 
+def _counted(rz: SchemeRealization, secret: SecretSpec, authorized, split, rows):
+    """a, b and the entropy in bits from the cut count and the rows held. Plain
+    arithmetic, flags as 0/1: one subset's Python numbers and arrays of many
+    give the same floats."""
+    layout = rz.layout
+    tied = layout.k - split - 1  # K - 1 on the side holding whole blocks
+    a_rk = rows - tied * authorized
+    b_rk = layout.d - rows - tied * (1 - authorized)
+    return a_rk, b_rk, split * math.log2(rz.q) + secret.entropy_bits * authorized
+
+
 def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport:
     """Entropy of the shares of `a`, a subset of the original players."""
     if secret.q != rz.q:
@@ -171,13 +186,26 @@ def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport
     s = access._mask(a, rz.structure.n)
     authorized, split = auth.item(s), cut.item(s)
     rows = sum(map(layout.degrees.__getitem__, a))
-    tied = layout.k - split - 1  # K - 1 on the side holding whole blocks
-    a_rk = rows - (tied if authorized else 0)
-    b_rk = layout.d - rows - (0 if authorized else tied)
-    bits = split * math.log2(rz.q)
-    if authorized:
-        bits += secret.entropy_bits
+    a_rk, b_rk, bits = _counted(rz, secret, authorized, split, rows)
     return EntropyReport(a, authorized, a_rk, b_rk, layout.e, bits)
+
+
+def subset_bits(rz: SchemeRealization, secret: SecretSpec, masks: np.ndarray) -> np.ndarray:
+    """`subset_report`'s entropies of many subsets of the original players,
+    given as masks: the same arithmetic, so the same floats, with both
+    `EntropyReport` checks run on the arrays."""
+    if secret.q != rz.q:
+        raise ValueError("secret field does not match the program field")
+    layout = rz.layout
+    auth, cut = layout.cut_table
+    held = masks[:, None] >> np.arange(rz.structure.n) & 1
+    rows = held @ np.array(layout.degrees[1 : rz.structure.n + 1])
+    a_rk, b_rk, bits = _counted(rz, secret, auth[masks], cut[masks], rows)
+    if (np.maximum(a_rk, b_rk) > layout.e).any():
+        raise ValueError("subset ranks cannot exceed the full rank")
+    if (bits < -1e-12).any():
+        raise ValueError("entropy cannot be negative")
+    return bits
 
 
 def subset_entropy(g: AccessStructure, secret: SecretSpec, a) -> EntropyReport:

@@ -16,18 +16,35 @@ import numpy as np
 Vector = tuple[int, ...]
 
 
+# Miller-Rabin to these bases decides primality for every n below the limit
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a ValueError from PRIMALITY_LIMIT up."""
+    if n >= PRIMALITY_LIMIT:
+        limit = f"{PRIMALITY_LIMIT:.2g}"
+        raise ValueError(f"primality of {n} is undecided: the test is exact below {limit}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

@@ -117,16 +117,16 @@ class NormalFormLayout:
         has its identity 1 in row j - 1 + i; block i's closing row has 1 in
         column 0 and q - 1 across the band.
         """
-        PrimeField(q)  # rejects a q that is not prime
+        dtype = _entry_dtype(q)
         r0, r1 = rows or (0, self.d)
         c0, c1 = cols or (0, self.e)
         if not (0 <= r0 <= r1 <= self.d and 0 <= c0 <= c1 <= self.e):
             raise ValueError(f"window {rows} x {cols} is outside the {self.d} x {self.e} matrix")
-        m = np.zeros((r1 - r0, c1 - c0), dtype=np.min_scalar_type(q - 1))
+        m = np.zeros((r1 - r0, c1 - c0), dtype=dtype)
         for row, col, value in self._nonzeros:
             # Rows and columns both ascend, so each range is one slice of the family.
-            lo = max(np.searchsorted(row, r0), np.searchsorted(col, c0))
-            hi = min(np.searchsorted(row, r1), np.searchsorted(col, c1))
+            (lo, hi), (left, right) = row.searchsorted((r0, r1)), col.searchsorted((c0, c1))
+            lo, hi = max(lo, left), min(hi, right)
             m[row[lo:hi] - r0, col[lo:hi] - c0] = value % q
         return m
 
@@ -134,7 +134,8 @@ class NormalFormLayout:
     def _nonzeros(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
         """The identity, secret and band entries as (rows, cols, value) families."""
         band = np.arange(1, self.e)
-        blocks = np.repeat(np.arange(self.k), np.diff(self._row_ends, prepend=0) - 1)
+        bands = np.fromiter(map(len, self.minimal_set_order), np.int64, self.k) - 1
+        blocks = np.arange(self.k).repeat(bands)
         closing = self._row_ends - 1
         secret = np.zeros(self.k, dtype=band.dtype)
         return (band - 1 + blocks, band, 1), (closing, secret, 1), (closing[blocks], band, -1)
@@ -196,6 +197,14 @@ def build_normal_form(
     return layout.program(q), layout
 
 
+def _entry_dtype(q: int) -> np.dtype:
+    """The smallest unsigned dtype holding q - 1; q must be a prime below 2^64."""
+    PrimeField(q)
+    if q > 2**64:
+        raise ValueError(f"field size {q} does not fit the matrix's 64-bit entries")
+    return np.min_scalar_type(q - 1)
+
+
 # Cells in one printed slab: it bounds the slab's array, cell buffer and text.
 _SLAB_CELLS = 1 << 19
 
@@ -213,7 +222,7 @@ def normal_form_blocks(g: AccessStructure, q: int = 2) -> Iterator[str]:
     `g` and `q` are checked before this returns, so an error precedes all text.
     """
     layout = normal_form_layout(g)
-    PrimeField(q)
+    _entry_dtype(q)
     matrix = (rows_to_text(layout.array(q, rows), q) for rows in _slabs(layout.d, layout.e))
     psi = "psi: " + " ".join(map(str, layout.psi)) + "\n"
     return chain([f"{layout.d} {layout.e} {q}\n"], matrix, [psi])
@@ -225,7 +234,7 @@ def normal_form_columns(g: AccessStructure, q: int = 2) -> Iterator[np.ndarray]:
     `g` and `q` are checked before this returns.
     """
     layout = normal_form_layout(g)
-    PrimeField(q)
+    _entry_dtype(q)
     return (layout.array(q, cols=cols).T for cols in _slabs(layout.e, layout.d))
 
 
@@ -496,14 +505,31 @@ def to_css(msp: MonotoneSpanProgram, layout: NormalFormLayout) -> CssForm:
 def codewords(msp: MonotoneSpanProgram) -> np.ndarray:
     """Every codeword M u as its basis index sum(y_j * q^(d-j)), shape
     (q, q^(e-1)), row s holding those with u_0 = s, u enumerated big-endian.
-    Built one coordinate y_j at a time: no array has more than q^e entries."""
+
+    One pass over the q^e entries per nonzero of M: digit u_j is axis 1 of
+    the (q^j, q, q^(e-1-j)) view, so no digit is stored, and the index and
+    one row's y are the only q^e-entry arrays, whatever e is. A row with one
+    nonzero adds its reduced digits to the index directly."""
     q, e = msp.field.q, msp.matrix.cols
     index = np.zeros(q**e, dtype=np.int64)
+    y = np.empty_like(index)
+    digits = np.arange(q, dtype=np.int64)[:, None]
+    # m -> m * u_j mod q for u_j's q values, as a column that broadcasts along axis 1
+    products = {m: m * digits % q for m in set(chain.from_iterable(msp.matrix.entries)) if m}
     for row in msp.matrix.entries:
-        y = np.zeros(1, dtype=np.int64)
-        for m in row:
-            y = (y[:, None] + m * np.arange(q)).ravel()
-        index = index * q + y % q
+        terms = [(j, products[m]) for j, m in enumerate(row) if m]
+        index *= q
+        if len(terms) == 1:
+            j, term = terms[0]
+            view = index.reshape(q**j, q, -1)
+            view += term
+        elif terms:
+            y.fill(0)
+            for j, term in terms:
+                view = y.reshape(q**j, q, -1)
+                view += term
+            y %= q
+            index += y
     return index.reshape(q, q ** (e - 1))
 
 

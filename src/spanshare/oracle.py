@@ -29,8 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .access import is_authorized, subsets_in_order
-from .entropy import SchemeRealization, SecretSpec, subset_report
+from .access import _mask, subsets_in_order
+from .entropy import SchemeRealization, SecretSpec, subset_bits
 from .msp import MonotoneSpanProgram, codewords
 
 DEFAULT_CAP = 2**22  # maximum q^d, the basis strings of the d codeword digits
@@ -130,11 +130,11 @@ def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
     if q ** (d + 1) >= 2**63:
         raise ValueError(f"q^(d+1) = {q}^{d + 1} overflows the oracle's 64-bit codeword keys")
     index = codewords(msp)
-    ordered = np.sort(index, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise ValueError("encoding collides; the program is not in normal form")
-    flat = np.sort(ordered, axis=None)  # np.unique would import numpy.ma on first use
-    if (flat[1:] == flat[:-1]).any():
+    flat = np.sort(index, axis=None)  # np.unique would import numpy.ma on first use
+    if (flat[1:] == flat[:-1]).any():  # a repeat; within one secret's row it is a collision
+        ordered = np.sort(index, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValueError("encoding collides; the program is not in normal form")
         raise RuntimeError("secret cosets overlap; encodings are not orthogonal")
     return index
 
@@ -144,8 +144,18 @@ def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
 _BATCH_CELLS = 1 << 20
 
 
-def _blocks(index: np.ndarray, kept: list, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block counts of a batch of subsets, given each one's kept coordinates (0-based).
+def _run_starts(keys: np.ndarray, length: int) -> np.ndarray:
+    """Flags over rows of `length` sorted keys, read flat, plus one past the end:
+    True where a run of equal keys starts, at every row's start and at the end."""
+    new = np.empty(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
+    new[::length] = True
+    return new
+
+
+def _blocks(index: np.ndarray, keep: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block counts of a batch of subsets, given as rows of 0/1 flags: keep[i, j]
+    is 1 when subset i holds coordinate j + 1.
 
     Returns (w, bounds): subset i's blocks are rows bounds[i]:bounds[i + 1]
     of w, and w[L, s] counts secret s's codewords in block L. The
@@ -153,74 +163,90 @@ def _blocks(index: np.ndarray, kept: list, d: int) -> tuple[np.ndarray, np.ndarr
     its least A-pattern. The labels are blocks when every A-pattern
     carries one label, across all secrets too, and every group holds all
     of its label's A-patterns; either failure is a `RuntimeError`. Keys
-    are built one kept coordinate at a time, never as a q^e x d digit table.
+    are built one coordinate at a time, never as a q^e x d digit table,
+    from whichever of A and R has fewer coordinates; the A-key is the
+    index minus the R-key. A-keys are sorted a subset at a time and
+    R-keys a secret at a time, as the rows of one array, then read
+    through flat indices with per-row offsets.
     """
     q, size = index.shape
     width, flat = index.size, index.ravel()
-    total = len(kept) * width
-    keep = np.zeros((len(kept), d), dtype=bool)
-    for i, coords in enumerate(kept):
-        keep[i, coords] = True
-    on = np.zeros((len(kept), width), dtype=np.int64)
-    for j in np.flatnonzero(keep.any(axis=0)):
-        place = q ** (d - 1 - int(j))
-        np.add(on, flat // place % q * place, out=on, where=keep[:, j, None])
-    # R-patterns keyed by the secret, so no two secrets share one.
-    off = np.repeat(np.arange(q, dtype=np.int64) * q**d, size) + flat - on
-    # A-patterns as ids: their rank within the subset, offset by width per subset.
-    by_on = np.argsort(on, axis=1)
-    ranks = np.cumsum(np.diff(np.take_along_axis(on, by_on, axis=1), prepend=-1) != 0, axis=1)
-    ranks += width * np.arange(len(kept))[:, None] - 1
-    np.put_along_axis(on, by_on, ranks, axis=1)
-    del by_on, ranks  # every array here has q^e entries per subset: drop each early
-    by_off = np.argsort(off, axis=1)
-    ids = np.take_along_axis(on, by_off, axis=1).ravel()
-    del on
-    groups = np.flatnonzero(np.diff(np.take_along_axis(off, by_off, axis=1), prepend=-1))
-    del off, by_off
+    total = len(keep) * width
+    flip = 2 * keep.sum(axis=1) > d  # key R, the smaller side
+    use = keep != flip[:, None]
+    on = np.zeros((len(keep), width), dtype=np.int64)
+    # Each used coordinate's digit times its place, as many per pass as _BATCH_CELLS allows.
+    coords = use.any(axis=0).nonzero()[0]
+    step = max(1, _BATCH_CELLS // width)
+    for lo in range(0, coords.size, step):
+        chunk = coords[lo : lo + step]
+        places = q ** (d - 1 - chunk[:, None])
+        for j, term in zip(chunk.tolist(), flat // places % q * places):
+            np.add(on, term, out=on, where=use[:, j, None])
+    np.subtract(flat, on, out=on, where=flip[:, None])
+    off = flat - on  # R-patterns, sorted below within each secret's N codewords
+    # A-patterns as ids, numbered through the batch in key order.
+    by_on = (on.argsort(axis=1) + np.arange(0, total, width)[:, None]).ravel()
+    ranks = _run_starts(on.ravel()[by_on], width).cumsum()
+    ids = np.empty(total, dtype=np.int64)
+    ids[by_on] = ranks[:-1]
+    ids -= 1
+    firsts = ranks[::width] - 1  # each subset's first id, then the id count
+    patterns = int(firsts[-1])
+    del on, by_on, ranks  # every array here has q^e entries per subset: drop each early
+    off = off.reshape(-1, size)
+    by_off = (off.argsort(axis=1) + np.arange(0, total, size)[:, None]).ravel()
+    edges = _run_starts(off.ravel()[by_off], size).nonzero()[0]
+    del off
+    ids = ids[by_off]
+    del by_off
+    groups, sizes = edges[:-1], edges[1:] - edges[:-1]
     labels = np.minimum.reduceat(ids, groups)
-    sizes = np.diff(groups, append=total)
-    label_of = np.repeat(labels, sizes)
-    owner = np.full(total, -1)
+    label_of = labels.repeat(sizes)
+    owner = np.empty(patterns, dtype=np.int64)  # every A-pattern lies in some group
     owner[ids] = label_of
     if (owner[ids] != label_of).any():
         raise RuntimeError(
             "an A-pattern lies in two blocks; row sets are neither identical nor disjoint"
         )
     del ids, label_of
-    rows = np.bincount(owner[owner >= 0], minlength=total)
+    rows = np.bincount(owner, minlength=patterns)
     if (sizes != rows[labels]).any():
         raise RuntimeError("a codeword block is not complete bipartite; the codewords are no coset")
-    heads = np.flatnonzero(rows)  # the labels in order, one per block
+    heads = rows.nonzero()[0]  # the labels in order, one per block
     # Sorted by key, secret s's groups start at places s N to (s + 1) N of a subset's row.
-    block = np.searchsorted(heads, labels) * q + groups % width // size
+    block = heads.searchsorted(labels) * q + groups % width // size
     w = np.bincount(block, minlength=heads.size * q).reshape(-1, q) * rows[heads, None]
-    return w, np.searchsorted(heads, width * np.arange(len(kept) + 1))
+    return w, heads.searchsorted(firsts)
 
 
 def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
-    """Encode now; then lazily yield (subset, entropy in bits, block counts w),
-    by default for all, a batch of subsets at a time.
+    """Encode now; then lazily yield, by default for all subsets, a batch of
+    subsets at a time: (subsets, masks, bits, w, bounds), with the subsets'
+    player masks, their entropies in bits, and block counts w, subset i's
+    in rows bounds[i]:bounds[i + 1].
 
     A player holds the coordinates of its rows (coordinate = row + 1).
-    For purified realizations the hidden share is never in a subset, so
-    its coordinates are always traced out.
+    For purified realizations the hidden player's bit is never in a mask,
+    so its coordinates are always traced out.
     """
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
-    index, d = _encode(rz.program, cap), rz.program.matrix.rows
+    program = rz.program
+    index, d = _encode(program, cap), program.matrix.rows
     subsets = list(subsets_in_order(rz.structure.players) if subsets is None else subsets)
+    masks = np.fromiter((_mask(a, rz.structure.n) for a in subsets), np.int64, len(subsets))
+    psi = np.array(program.psi) - 1
     step = max(1, _BATCH_CELLS // (rz.q * index.size))
     p = np.asarray(secret.distribution) / index.shape[1]
 
     def batches():
         for lo in range(0, len(subsets), step):
-            batch = subsets[lo : lo + step]
-            w, bounds = _blocks(index, [rz.program.rows_of(a) for a in batch], d)
+            batch = masks[lo : lo + step]
+            w, bounds = _blocks(index, batch[:, None] >> psi & 1, d)
             lam = w @ p  # the mixture's eigenvalues
-            terms = lam * np.log2(lam, out=np.zeros_like(lam), where=lam > 0)
-            bits = -np.add.reduceat(terms, bounds[:-1])
-            yield from zip(batch, bits.tolist(), (w[i:j] for i, j in zip(bounds, bounds[1:])))
+            terms = lam * np.log2(lam, out=np.zeros(lam.shape), where=lam > 0)
+            yield subsets[lo : lo + step], batch, -np.add.reduceat(terms, bounds[:-1]), w, bounds
 
     return batches()
 
@@ -232,8 +258,8 @@ def oracle_subset_entropy(
     a = tuple(sorted(set(a)))
     if not set(a) <= set(rz.structure.players):
         raise ValueError(f"subset {a} contains unknown players")
-    ((_, bits, _),) = _sweep(rz, secret, cap, [a])
-    return bits
+    ((_, _, bits, _, _),) = _sweep(rz, secret, cap, [a])
+    return float(bits[0])
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -275,13 +301,17 @@ def _secrecy_report(rz: SchemeRealization, secret: SecretSpec, sweep) -> Secrecy
     if any(p <= 0 for p in secret.distribution):
         raise ValueError("secrecy sweep needs a full-support secret distribution")
     found: dict[bool, list] = {False: [], True: []}  # authorized -> violations
-    checked = 0
-    for subset, _, w in sweep:
-        checked += 1
-        authorized = is_authorized(rz.structure, subset)
+    checked, minimal = 0, rz.structure.masks
+    for subsets, masks, _, w, bounds in sweep:
+        checked += len(subsets)
+        authorized = (masks[:, None] & minimal == minimal).any(axis=1)
         # Authorized sets fail where a block holds two secrets, the others where counts differ.
-        if (np.count_nonzero(w, axis=1) > 1).any() if authorized else (w != w[:, :1]).any():
-            found[authorized] += [(subset, *m) for m in _pair_measures(w, authorized) if m[2] > 0]
+        shared = np.logical_or.reduceat((w > 0).sum(axis=1) > 1, bounds[:-1])
+        uneven = np.logical_or.reduceat((w != w[:, :1]).any(axis=1), bounds[:-1])
+        for i in np.where(authorized, shared, uneven).nonzero()[0].tolist():
+            flag = bool(authorized[i])
+            measures = _pair_measures(w[bounds[i] : bounds[i + 1]], flag)
+            found[flag] += [(subsets[i], *m) for m in measures if m[2] > 0]
     return SecrecyReport(checked, tuple(found[False]), tuple(found[True]))
 
 
@@ -301,11 +331,12 @@ class FormulaDiscrepancy:
 
 def _mismatches(rz, secret, sweep, tolerance, into: list):
     """Pass the sweep through, appending each formula disagreement to `into`."""
-    for subset, simulated, w in sweep:
-        formula = subset_report(rz, secret, subset).entropy_bits
-        if abs(formula - simulated) > tolerance:
-            into.append(FormulaDiscrepancy(subset, formula, simulated))
-        yield subset, simulated, w
+    for batch in sweep:
+        subsets, masks, simulated, _, _ = batch
+        formula = subset_bits(rz, secret, masks)
+        for i in (np.abs(formula - simulated) > tolerance).nonzero()[0].tolist():
+            into.append(FormulaDiscrepancy(subsets[i], float(formula[i]), float(simulated[i])))
+        yield batch
 
 
 def compare_with_formula(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import spanshare
-from spanshare import access, cli, msp
+from spanshare import access, cli, fields, msp
 from spanshare.entropy import (
     EntropyReport,
     MonotonicityViolation,
@@ -384,6 +384,49 @@ def test_field_below_two_is_input_error(capsys, tri_path):
     code, out, err = run_cli(capsys, "classify", "--structure", tri_path, "--q", "0")
     assert_one_line_error(code, out, err)
     assert "at least 2" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "dual", "purify", "msp", "css"])
+def test_commands_that_never_read_the_secret_build_none(capsys, tri_path, monkeypatch, command):
+    # A uniform secret over F_16777213 is a tuple of 16.7 million floats.
+    def refuse(self):
+        raise AssertionError("built a SecretSpec")
+
+    monkeypatch.setattr(SecretSpec, "__post_init__", refuse)
+    code, out, _ = run_cli(capsys, command, "--structure", tri_path, "--q", "16777213")
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, command, "--structure", tri_path, "--q", "1")
+    assert_one_line_error(code, out, err)
+    assert "at least 2" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "verify-theorem"])
+def test_structure_errors_come_before_the_field_size(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "minimal_sets": [[1, 5]]}')
+    code, out, err = run_cli(capsys, command, "--structure", str(path), "--q", "0")
+    assert_one_line_error(code, out, err)
+    assert "out of range" in err
+
+
+def test_msp_over_a_61_bit_prime(capsys, tri_path):
+    code, out, _ = run_cli(capsys, "msp", "--structure", tri_path, "--q", str(2**61 - 1))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["6 4 2305843009213693951", "0 1 0 0", "1 2305843009213693950 0 0"]
+
+
+@pytest.mark.parametrize("command", ["msp", "css"])
+@pytest.mark.parametrize(
+    "q, message",
+    [(2**64 + 13, "does not fit the matrix's 64-bit"), (fields.PRIMALITY_LIMIT, "undecided")],
+)
+def test_fields_past_64_bits_or_the_prime_test_are_input_errors(
+    capsys, tri_path, command, q, message
+):
+    code, out, err = run_cli(capsys, command, "--structure", tri_path, "--q", str(q))
+    assert_one_line_error(code, out, err)
+    assert message in err
 
 
 def test_out_into_missing_directory_is_input_error(capsys, tri_path, tmp_path):

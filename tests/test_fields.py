@@ -1,5 +1,7 @@
 """Exact prime-field linear algebra against brute-force enumeration."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from spanshare.access import from_minimal_sets
 from spanshare.fields import (
+    PRIMALITY_LIMIT,
     FieldMatrix,
     PrimeField,
+    is_prime,
     kernel_basis,
     matrix_from_text,
     matrix_to_text,
@@ -41,6 +45,41 @@ def test_prime_moduli_accepted(q):
 def test_composite_moduli_rejected(q):
     with pytest.raises(ValueError):
         PrimeField(q)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(-3, 10**5) if trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    # Carmichael numbers, then strong pseudoprimes to the prime bases up to 7,
+    # to those up to 31, and to those up to 37: only base 41 rejects the last.
+    [561, 1105, 1729, 2465, 2821, 6601, 8911, 3215031751, 3825123056546413051,
+     318665857834031151167461],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_takes_milliseconds_on_large_primes():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1) and is_prime(2**64 + 13) and is_prime(2**80 - 65)
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+    assert time.perf_counter() - start < 0.05
+
+
+def test_is_prime_refuses_what_its_bases_cannot_decide():
+    # The limit is the least strong pseudoprime to all 13 bases.
+    assert not is_prime(PRIMALITY_LIMIT - 2)
+    with pytest.raises(ValueError, match="undecided"):
+        is_prime(PRIMALITY_LIMIT)
 
 
 def test_entries_canonicalized():

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from spanshare.access import enumerate_structures, from_minimal_sets, is_authorized
-from spanshare.fields import FieldMatrix, rank
+from spanshare.entropy import realize
+from spanshare.fields import FieldMatrix, PrimeField, rank
 from spanshare.msp import (
     MonotoneSpanProgram,
     accepts,
     build_normal_form,
+    codewords,
     computes,
     dispensable_rows,
     encoding_image,
@@ -400,6 +402,47 @@ def test_cosets_partition_the_image(tri_program):
         assert not seen & coset
         seen |= coset
     assert len(seen) == 2 ** 4
+
+
+def brute_codewords(program):
+    """M u mod q for every u, big-endian, as basis indices: plain matrix products."""
+    q, d, e = program.field.q, program.matrix.rows, program.matrix.cols
+    u = np.array(list(itertools.product(range(q), repeat=e)), dtype=np.int64)
+    y = u @ np.array(program.matrix.entries, dtype=np.int64).T % q
+    return (y @ q ** np.arange(d - 1, -1, -1)).reshape(q, -1)
+
+
+def test_codewords_match_a_brute_force_product():
+    # Every connected realizable structure with n <= 4 whose q^e codewords
+    # number at most 2^16: 56 of the 57 at q = 2, 46 at q = 3, 11 at q = 5.
+    checked = {2: 0, 3: 0, 5: 0}
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            for q in checked:
+                rz = realize(g, q)
+                if q**rz.layout.e <= 2**16:
+                    assert np.array_equal(codewords(rz.program), brute_codewords(rz.program))
+                    checked[q] += 1
+    assert checked == {2: 56, 3: 46, 5: 11}
+    # Shamir 2-of-3 over F_5, rows (1, x) for x = 1, 2, 3: entries other than 0, 1 and q - 1.
+    f5 = PrimeField(5)
+    shamir = MonotoneSpanProgram(f5, FieldMatrix(f5, ((1, 1), (1, 2), (1, 3))), (1, 2, 3))
+    assert np.array_equal(codewords(shamir), brute_codewords(shamir))
+
+
+def test_codewords_hold_two_arrays_of_q_to_the_e():
+    # The d = 20 scheme at q = 2 (e = 14): the index and one row's y, 8 bytes
+    # an entry, plus less than one more such array of small change.
+    rz = realize(from_minimal_sets(4, [[1, 2, 3], [1, 2, 4], [2, 3, 4]]), 2)
+    q, e, program = 2, rz.layout.e, rz.program
+    tracemalloc.start()
+    try:
+        codewords(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rz.layout.d, e) == (20, 14)
+    assert peak < 3 * 8 * q**e
 
 
 def test_dispensable_rows_empty_for_normal_forms(tri_program, triangle, star4_rz):

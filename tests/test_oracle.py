@@ -318,11 +318,16 @@ def dense_measures(rz, secret, subset):
 
 
 def assert_sweep_matches_dense(rz, secret):
-    for subset, bits, w in _sweep(rz, secret, oracle.DEFAULT_CAP):
-        entropy, measures = dense_measures(rz, secret, subset)
-        assert abs(bits - entropy) < 1e-10, subset
-        swept = [x for _, _, x in _pair_measures(w, is_authorized(rz.structure, subset))]
-        assert np.allclose(swept, measures, rtol=0, atol=1e-10), subset
+    compared = 0
+    for subsets, _, batch_bits, batch_w, bounds in _sweep(rz, secret, oracle.DEFAULT_CAP):
+        for subset, bits, lo, hi in zip(subsets, batch_bits, bounds, bounds[1:]):
+            w = batch_w[lo:hi]
+            entropy, measures = dense_measures(rz, secret, subset)
+            assert abs(bits - entropy) < 1e-10, subset
+            swept = [x for _, _, x in _pair_measures(w, is_authorized(rz.structure, subset))]
+            assert np.allclose(swept, measures, rtol=0, atol=1e-10), subset
+            compared += 1
+    assert compared == 2**rz.structure.n
 
 
 def test_sweep_matches_dense_reference_on_small_schemes():
