@@ -96,7 +96,7 @@ def _purify(args, g, secret, emit) -> int:
 
 
 def _msp(args, g, secret, emit) -> int:
-    emit(msp_mod.normal_form_blocks(g, args.q))
+    emit(msp_mod.msp_text_blocks(msp_mod.normal_form_layout(g).program(args.q)))
     return 0
 
 
@@ -202,23 +202,24 @@ def _verify_oracle(args, g, secret, emit) -> int:
 
 
 def _css(args, g, secret, emit) -> int:
-    columns = msp_mod.normal_form_columns(g, args.q)
-    emit(_css_json(columns, args.q) if args.fmt == "json" else _css_text(columns, args.q))
+    program = msp_mod.normal_form_layout(g).program(args.q)
+    columns = (*program.columns, program.shape[::-1])  # x_bar, then the generators
+    emit(_css_json(columns) if args.fmt == "json" else _css_text(columns))
     return 0
 
 
-def _css_text(slabs, q: int):
+def _css_text(columns):
     prefix = "xbar: "
-    for slab in slabs:
-        text = fields.rows_to_text(slab, q)
-        yield prefix + text[:-1].replace("\n", "\ngenerator: ") + "\n"
+    for text in fields.coords_to_text(*columns):
+        yield prefix  # every newline but the slab's last starts a generator's line
+        yield text.replace("\n", "\ngenerator: ", text.count("\n") - 1)
         prefix = "generator: "
 
 
-def _css_json(slabs, q: int):
-    """`json.dumps({"x_bar": ..., "generators": [...]}, sort_keys=True)`, a column
-    slab at a time: each column is a line of `rows_to_text` with ", " between entries."""
-    texts = (fields.rows_to_text(slab, q, ", ", "]\n") for slab in slabs)
+def _css_json(columns):
+    """`json.dumps({"x_bar": ..., "generators": [...]}, sort_keys=True)`, a slab
+    of columns at a time: each column is a line of text with ", " between entries."""
+    texts = fields.coords_to_text(*columns, ", ", "]\n")
     x_bar, _, first = next(texts).partition("\n")
     yield '{"generators": ['
     separator = ""

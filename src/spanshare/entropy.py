@@ -72,13 +72,16 @@ def check_field_size(q: int) -> None:
 
 @dataclass(frozen=True)
 class SecretSpec:
-    """Classical secret ensemble: a probability for each value in F_q."""
+    """Classical secret ensemble: a probability for each value in F_q. The
+    uniform one stores none (`distribution` is None), so it costs O(1) at any q."""
 
     q: int
-    distribution: tuple[float, ...]
+    distribution: tuple[float, ...] | None = None
 
     def __post_init__(self):
         check_field_size(self.q)
+        if self.distribution is None:
+            return
         if len(self.distribution) != self.q:
             raise ValueError("need one probability per field element")
         # NaN compares false both ways, so `p < 0` and the sum check let it through.
@@ -89,16 +92,25 @@ class SecretSpec:
 
     @classmethod
     def uniform(cls, q: int) -> "SecretSpec":
-        return cls(q, tuple(1.0 / q for _ in range(q)))
+        return cls(q)
 
     @classmethod
     def point(cls, q: int, s: int) -> "SecretSpec":
+        """All weight on s: a tuple of q floats, for fields the oracle can sweep."""
         dist = [0.0] * q
         dist[s % q] = 1.0
         return cls(q, tuple(dist))
 
+    @property
+    def probabilities(self) -> np.ndarray:
+        """The q probabilities as an array, built on each read."""
+        uniform = self.distribution is None
+        return np.full(self.q, 1.0 / self.q) if uniform else np.asarray(self.distribution)
+
     @cached_property
     def entropy_bits(self) -> float:
+        if self.distribution is None:
+            return math.log2(self.q)  # exact; a sum of q terms rounds in its last bits
         return -sum(p * math.log2(p) for p in self.distribution if p > 0)
 
 

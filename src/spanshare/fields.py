@@ -4,11 +4,12 @@ Everything here works on plain Python integers reduced to canonical
 representatives in [0, q-1], so ranks, solved coefficients and kernel
 vectors are exact (no floating point anywhere). Elimination uses
 first-nonzero pivoting, which makes every result deterministic. numpy
-enters only in printing, through `rows_to_text`, the shared formatter.
+enters only in `coords_to_text`, which prints a matrix from its nonzeros.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,46 +175,42 @@ def kernel_basis(m: FieldMatrix) -> list[Vector]:
     return basis
 
 
-def rows_to_text(array: np.ndarray, q: int, sep: str = " ", end: str = "\n") -> str:
-    """Rows of a canonical 2-D array as lines of decimals, `sep` after each
-    entry but a row's last, which `end` (as long as `sep`) follows.
+# Cells in one printed slab: it bounds the slab's buffer and text.
+_SLAB_CELLS = 1 << 19
 
-    Each entry and its separator are one cell of a byte buffer: one
-    little-endian uint16 for a one-character `sep`. A longer entry leaves
-    a NUL in its cell; the text is split at the NULs and joined with
-    those entries' decimals, each distinct value formatted once. A
-    normal-form matrix has one such value, q - 1, once per band column.
+
+def coords_to_text(
+    row: np.ndarray, col: np.ndarray, value: np.ndarray, shape, sep: str = " ", end: str = "\n"
+) -> Iterator[str]:
+    """The d x e matrix with these nonzeros, canonical and sorted by row, then
+    column, as lines of decimals, `sep` after each entry but a row's last,
+    which `end` (as long as `sep`) follows; a slab of rows at a time.
+
+    Each entry and its separator are one cell of a reused byte buffer of
+    `'0' + sep` cells. A slab's nonzeros are poked in as digits, and reset
+    to '0' once its text is taken. A longer entry leaves a NUL in its cell;
+    the text is split at the NULs and joined with those entries' decimals.
+    A normal-form matrix has one such value, q - 1, once per band column.
     """
-    rows, cols = array.shape
-    if not cols:
-        return end * rows
-    digits = array.astype(np.uint8, copy=False)  # wraps past 255: longer entries, cleared below
-    if len(sep) == 1:
-        cells = digits.astype("<u2", order="C")
-        cells |= ord(sep) << 8 | ord("0")
-    else:
-        line = np.frombuffer(("0" + sep).encode("ascii") * cols, np.uint8)
-        cells = np.tile(line, rows).reshape(rows, cols, 1 + len(sep))
-        cells[..., 0] += digits
-    cells = cells.view(np.uint8).reshape(rows, cols, 1 + len(sep))
+    rows, cols = shape
+    step = max(1, _SLAB_CELLS // cols)
+    line = np.frombuffer(("0" + sep).encode("ascii") * cols, np.uint8)
+    cells = np.tile(line, min(step, rows)).reshape(-1, cols, 1 + len(sep))
     cells[:, -1, 1:] = np.frombuffer(end.encode("ascii"), np.uint8)
-    if q <= 10:
-        return str(memoryview(cells), "ascii")
-    wide = array >= 10
-    cells[..., 0][wide] = 0
-    values = array[wide].tolist()
-    decimals = {v: b"%d" % v for v in set(values)}
-    parts = cells.tobytes().split(b"\0")  # one more than the longer entries
-    text = parts + parts[1:]
-    text[::2], text[1::2] = parts, map(decimals.__getitem__, values)
-    return b"".join(text).decode("ascii")
-
-
-def matrix_to_text(m: FieldMatrix) -> str:
-    """Serialize as 'd e q' header plus one line per row."""
-    q = m.field.q
-    array = np.array(m.entries, dtype=np.min_scalar_type(q - 1)).reshape(m.rows, m.cols)
-    return f"{m.rows} {m.cols} {q}\n" + rows_to_text(array, q)
+    digits = cells[..., 0]
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        first, last = row.searchsorted((lo, hi))
+        r, c, v = row[first:last] - lo, col[first:last], value[first:last]
+        wide = v >= 10
+        digits[r, c] = np.where(wide, 0, v + ord("0"))  # v + ord("0") may wrap where wide
+        text = str(memoryview(cells[: hi - lo]), "ascii")
+        if wide.any():  # one part more than wide entries, each ended by a NUL
+            parts = text.split("\0")
+            parts[:-1] = map(str.__add__, parts, map(str, v[wide].tolist()))
+            text = "".join(parts)
+        yield text
+        digits[r, c] = ord("0")
 
 
 def matrix_from_text(text: str) -> FieldMatrix:

@@ -9,9 +9,11 @@ carrying 1 in the secret column and -1 across the band. The identity
 rows are labeled with the first r_i participants of A_i and the
 closing row with the last, both in presentation order. A layout holds
 only that presentation and its structure, and derives its geometry.
-The matrix is laid out only by `NormalFormLayout.array`, whole or one
-window at a time; `NormalFormLayout.program` (the one place it becomes a
-program) and the printers read it a slab of rows or columns at a time.
+A program holds its matrix as coordinate arrays of its nonzeros, 2c + k
+of them in the normal form: `NormalFormLayout.program` lays them out,
+and `codewords` and the printers read them. The dense `FieldMatrix` of
+tuple rows is built on the first read of `MonotoneSpanProgram.matrix`,
+for exact elimination only.
 """
 
 from __future__ import annotations
@@ -29,29 +31,68 @@ from .fields import (
     FieldMatrix,
     PrimeField,
     Vector,
+    coords_to_text,
     kernel_basis,
     matrix_from_text,
-    matrix_to_text,
     rank,
-    rows_to_text,
     solve_combination,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneSpanProgram:
+    """A d x e matrix over F_q as its nonzeros, entry i being value[i] at
+    (row[i], col[i]) in row-major order, with rows labeled by psi.
+    Programs are equal when their fields, shapes, nonzeros and labels are."""
+
     field: PrimeField
-    matrix: FieldMatrix
+    shape: tuple[int, int]
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
     psi: tuple[int, ...]  # row index (0-based) -> player (1-based)
 
     def __post_init__(self):
-        if len(self.psi) != self.matrix.rows:
+        d, e = self.shape
+        if len(self.psi) != d:
             raise ValueError("psi must label every matrix row")
-        if self.matrix.cols < 1:
+        if e < 1:
             raise ValueError("need at least the secret column")
         players = set(self.psi)
         if players != set(range(1, len(players) + 1)):
             raise ValueError("psi must be surjective onto 1..n")
+        key, q = self.row * e + self.col, self.field.q
+        cells = np.all((0 <= self.col) & (self.col < e) & (0 <= key) & (key < d * e))
+        if not (cells and np.all(key[1:] > key[:-1]) and np.all((0 < self.value) & (self.value < q))):
+            raise ValueError("nonzeros must be distinct entries in [1, q - 1], by row, then column")
+
+    @classmethod
+    def from_matrix(cls, matrix: FieldMatrix, psi) -> MonotoneSpanProgram:
+        """The program of a dense matrix: its nonzeros, in row-major order."""
+        shape = (matrix.rows, matrix.cols)
+        dense = np.array(matrix.entries, _entry_dtype(matrix.field.q)).reshape(shape)
+        row, col = dense.nonzero()
+        return cls(matrix.field, shape, row, col, dense[row, col], tuple(psi))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonotoneSpanProgram):
+            return NotImplemented
+        nonzeros = zip((self.row, self.col, self.value), (other.row, other.col, other.value))
+        same = (self.field, self.shape, self.psi) == (other.field, other.shape, other.psi)
+        return same and all(np.array_equal(a, b) for a, b in nonzeros)
+
+    @cached_property
+    def matrix(self) -> FieldMatrix:
+        """The dense matrix as tuple rows, for exact elimination: built on first read."""
+        dense = np.zeros(self.shape, self.value.dtype)
+        dense[self.row, self.col] = self.value
+        return FieldMatrix(self.field, tuple(map(tuple, dense.tolist())), self.shape[1])
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros as (col, row, value) by column, then row: the transpose's."""
+        order = self.col.argsort(kind="stable")  # rows already ascend within each column
+        return self.col[order], self.row[order], self.value[order]
 
     @property
     def n_players(self) -> int:
@@ -59,7 +100,7 @@ class MonotoneSpanProgram:
 
     @property
     def target(self) -> Vector:
-        return (1,) + (0,) * (self.matrix.cols - 1)
+        return (1,) + (0,) * (self.shape[1] - 1)
 
     def rows_of(self, players) -> list[int]:
         wanted = set(players)
@@ -107,49 +148,24 @@ class NormalFormLayout:
     def psi(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(self.minimal_set_order))
 
-    def array(
-        self, q: int, rows: tuple[int, int] | None = None, cols: tuple[int, int] | None = None
-    ) -> np.ndarray:
-        """The d x e matrix over F_q, in the smallest unsigned dtype holding q - 1.
-
-        `rows` and `cols` are half-open ranges [lo, hi) that cut out one
-        window, by default the whole matrix. Band column j of block i (from 0)
-        has its identity 1 in row j - 1 + i; block i's closing row has 1 in
-        column 0 and q - 1 across the band.
-        """
-        dtype = _entry_dtype(q)
-        r0, r1 = rows or (0, self.d)
-        c0, c1 = cols or (0, self.e)
-        if not (0 <= r0 <= r1 <= self.d and 0 <= c0 <= c1 <= self.e):
-            raise ValueError(f"window {rows} x {cols} is outside the {self.d} x {self.e} matrix")
-        m = np.zeros((r1 - r0, c1 - c0), dtype=dtype)
-        for row, col, value in self._nonzeros:
-            # Rows and columns both ascend, so each range is one slice of the family.
-            (lo, hi), (left, right) = row.searchsorted((r0, r1)), col.searchsorted((c0, c1))
-            lo, hi = max(lo, left), min(hi, right)
-            m[row[lo:hi] - r0, col[lo:hi] - c0] = value % q
-        return m
-
-    @cached_property
-    def _nonzeros(self) -> tuple[tuple[np.ndarray, np.ndarray, int], ...]:
-        """The identity, secret and band entries as (rows, cols, value) families."""
-        band = np.arange(1, self.e)
-        bands = np.fromiter(map(len, self.minimal_set_order), np.int64, self.k) - 1
-        blocks = np.arange(self.k).repeat(bands)
-        closing = self._row_ends - 1
-        secret = np.zeros(self.k, dtype=band.dtype)
-        return (band - 1 + blocks, band, 1), (closing, secret, 1), (closing[blocks], band, -1)
-
     def program(self, q: int) -> MonotoneSpanProgram:
-        """The normal-form program over F_q: `array(q)` as tuple rows, labeled by `psi`.
+        """The normal-form program over F_q, labeled by `psi`, from its 2c + k nonzeros.
 
+        Band column j of block i (from 0) has its identity 1 in row j - 1 + i;
+        block i's closing row has 1 in column 0 and q - 1 across the band.
         It has full column rank by construction: the identity rows span
         every band column, and any closing row then adds the secret column.
         """
-        fq = PrimeField(q)
-        slabs = (self.array(q, rows).tolist() for rows in _slabs(self.d, self.e))
-        rows = tuple(map(tuple, chain.from_iterable(slabs)))
-        return MonotoneSpanProgram(fq, FieldMatrix(fq, rows, self.e), self.psi)
+        dtype = _entry_dtype(q)
+        band = np.arange(1, self.e)
+        blocks = np.arange(self.k).repeat(np.diff(self._row_ends, prepend=0) - 1)
+        closing = self._row_ends - 1
+        row = np.concatenate((band - 1 + blocks, closing, closing[blocks]))
+        col = np.concatenate((band, np.zeros(self.k, band.dtype), band))
+        value = np.array((1, 1, q - 1), dtype).repeat((self.c, self.k, self.c))
+        order = row.argsort(kind="stable")  # a closing row's secret entry precedes its band
+        nonzeros = row[order], col[order], value[order]
+        return MonotoneSpanProgram(PrimeField(q), (self.d, self.e), *nonzeros, self.psi)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -203,44 +219,6 @@ def _entry_dtype(q: int) -> np.dtype:
     if q > 2**64:
         raise ValueError(f"field size {q} does not fit the matrix's 64-bit entries")
     return np.min_scalar_type(q - 1)
-
-
-# Cells in one printed slab: it bounds the slab's array, cell buffer and text.
-_SLAB_CELLS = 1 << 19
-
-
-def _slabs(count: int, width: int) -> Iterator[tuple[int, int]]:
-    """Half-open ranges covering range(count), each at most _SLAB_CELLS // width long."""
-    step = max(1, _SLAB_CELLS // width)
-    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
-
-
-def normal_form_blocks(g: AccessStructure, q: int = 2) -> Iterator[str]:
-    """The text of `normal_form_text` in blocks: the 'd e q' header, one
-    block per row slab of the matrix, then the 'psi:' line.
-
-    `g` and `q` are checked before this returns, so an error precedes all text.
-    """
-    layout = normal_form_layout(g)
-    _entry_dtype(q)
-    matrix = (rows_to_text(layout.array(q, rows), q) for rows in _slabs(layout.d, layout.e))
-    psi = "psi: " + " ".join(map(str, layout.psi)) + "\n"
-    return chain([f"{layout.d} {layout.e} {q}\n"], matrix, [psi])
-
-
-def normal_form_columns(g: AccessStructure, q: int = 2) -> Iterator[np.ndarray]:
-    """The normal form's columns, secret first, as the rows of slab arrays.
-
-    `g` and `q` are checked before this returns.
-    """
-    layout = normal_form_layout(g)
-    _entry_dtype(q)
-    return (layout.array(q, cols=cols).T for cols in _slabs(layout.e, layout.d))
-
-
-def normal_form_text(g: AccessStructure, q: int = 2) -> str:
-    """`msp_to_text(build_normal_form(g, q)[0])`, printed from the layout a slab at a time."""
-    return "".join(normal_form_blocks(g, q))
 
 
 @dataclass(frozen=True)
@@ -510,15 +488,16 @@ def codewords(msp: MonotoneSpanProgram) -> np.ndarray:
     the (q^j, q, q^(e-1-j)) view, so no digit is stored, and the index and
     one row's y are the only q^e-entry arrays, whatever e is. A row with one
     nonzero adds its reduced digits to the index directly."""
-    q, e = msp.field.q, msp.matrix.cols
+    q, (d, e) = msp.field.q, msp.shape
     index = np.zeros(q**e, dtype=np.int64)
     y = np.empty_like(index)
     digits = np.arange(q, dtype=np.int64)[:, None]
-    # m -> m * u_j mod q for u_j's q values, as a column that broadcasts along axis 1
-    products = {m: m * digits % q for m in set(chain.from_iterable(msp.matrix.entries)) if m}
-    for row in msp.matrix.entries:
-        terms = [(j, products[m]) for j, m in enumerate(row) if m]
+    starts = msp.row.searchsorted(np.arange(d + 1)).tolist()
+    cols, values = msp.col.tolist(), msp.value.tolist()
+    for lo, hi in zip(starts, starts[1:]):
         index *= q
+        # m * u_j mod q for u_j's q values, as a column that broadcasts along axis 1
+        terms = [(j, m * digits % q) for j, m in zip(cols[lo:hi], values[lo:hi])]
         if len(terms) == 1:
             j, term = terms[0]
             view = index.reshape(q**j, q, -1)
@@ -536,7 +515,7 @@ def codewords(msp: MonotoneSpanProgram) -> np.ndarray:
 def encoding_image(msp: MonotoneSpanProgram, s: int) -> frozenset[Vector]:
     """All codewords M u with u_0 = s, as a set view of `codewords`; the
     coset form is checked against it."""
-    q, d = msp.field.q, msp.matrix.rows
+    q, d = msp.field.q, msp.shape[0]
     digits = codewords(msp)[s % q][:, None] // q ** np.arange(d - 1, -1, -1) % q
     return frozenset(map(tuple, digits.tolist()))
 
@@ -565,9 +544,17 @@ def dispensable_rows(msp: MonotoneSpanProgram, g: AccessStructure) -> list[int]:
     return out
 
 
+def msp_text_blocks(msp: MonotoneSpanProgram) -> Iterator[str]:
+    """The text of `msp_to_text` in blocks: the 'd e q' header, the matrix a
+    slab of rows at a time, then the 'psi:' line."""
+    (d, e), psi = msp.shape, " ".join(map(str, msp.psi))
+    matrix = coords_to_text(msp.row, msp.col, msp.value, msp.shape)
+    return chain([f"{d} {e} {msp.field.q}\n"], matrix, [f"psi: {psi}\n"])
+
+
 def msp_to_text(msp: MonotoneSpanProgram) -> str:
     """Matrix text plus a labeling line 'psi: 1 2 2 3 3 1'."""
-    return matrix_to_text(msp.matrix) + "psi: " + " ".join(str(p) for p in msp.psi) + "\n"
+    return "".join(msp_text_blocks(msp))
 
 
 def msp_from_text(text: str) -> MonotoneSpanProgram:
@@ -577,4 +564,4 @@ def msp_from_text(text: str) -> MonotoneSpanProgram:
         raise ValueError("program text needs exactly one 'psi:' line")
     psi = tuple(int(x) for x in psi_lines[0].split(":", 1)[1].split())
     matrix = matrix_from_text("\n".join(ln for ln in lines if not ln.strip().startswith("psi:")))
-    return MonotoneSpanProgram(matrix.field, matrix, psi)
+    return MonotoneSpanProgram.from_matrix(matrix, psi)

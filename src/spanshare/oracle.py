@@ -79,7 +79,7 @@ def basis_string(index: int, q: int, d: int) -> str:
 
 def encode_secret(msp: MonotoneSpanProgram, s: int, cap: int = DEFAULT_CAP) -> PureState:
     """Equal superposition over the q^(e-1) codewords with secret s."""
-    q, d = msp.field.q, msp.matrix.rows
+    q, d = msp.field.q, msp.shape[0]
     index = _encode(msp, cap)[s % q]
     amplitudes = np.zeros(q**d, dtype=complex)
     amplitudes[index] = 1.0 / math.sqrt(len(index))
@@ -124,7 +124,7 @@ def reduced_entropy(state: PureState, coords) -> float:
 
 def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
     """`codewords`, checked: within the cap and 64-bit keys, no collision, disjoint cosets."""
-    q, d = msp.field.q, msp.matrix.rows
+    q, d = msp.field.q, msp.shape[0]
     if exceeds_cap(q, d, cap):
         raise ValueError(f"state of q^d = {q}^{d} amplitudes exceeds the cap {cap}")
     if q ** (d + 1) >= 2**63:
@@ -233,12 +233,12 @@ def _sweep(rz: SchemeRealization, secret: SecretSpec, cap: int, subsets=None):
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
     program = rz.program
-    index, d = _encode(program, cap), program.matrix.rows
+    index, d = _encode(program, cap), program.shape[0]
     subsets = list(subsets_in_order(rz.structure.players) if subsets is None else subsets)
     masks = np.fromiter((_mask(a, rz.structure.n) for a in subsets), np.int64, len(subsets))
     psi = np.array(program.psi) - 1
     step = max(1, _BATCH_CELLS // (rz.q * index.size))
-    p = np.asarray(secret.distribution) / index.shape[1]
+    p = secret.probabilities / index.shape[1]  # q floats, as q <= q^d <= cap
 
     def batches():
         for lo in range(0, len(subsets), step):
@@ -298,7 +298,7 @@ class SecrecyReport:
 
 
 def _secrecy_report(rz: SchemeRealization, secret: SecretSpec, sweep) -> SecrecyReport:
-    if any(p <= 0 for p in secret.distribution):
+    if (secret.probabilities <= 0).any():
         raise ValueError("secrecy sweep needs a full-support secret distribution")
     found: dict[bool, list] = {False: [], True: []}  # authorized -> violations
     checked, minimal = 0, rz.structure.masks

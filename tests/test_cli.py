@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spanshare
@@ -19,7 +21,7 @@ from spanshare.entropy import (
     chain_profile,
     greedy_chain,
 )
-from spanshare.fields import FieldMatrix, rows_to_text
+from spanshare.fields import FieldMatrix
 
 from test_oracle import flipped
 
@@ -218,21 +220,33 @@ def t6of11_path(tmp_path_factory):
     return str(path)
 
 
+def normal_form(path: str, q: int) -> msp.MonotoneSpanProgram:
+    with open(path) as f:
+        return msp.build_normal_form(access.structure_from_json(f.read()), q)[0]
+
+
+def dense(program: msp.MonotoneSpanProgram) -> np.ndarray:
+    """The whole matrix as one array, from the program's nonzeros."""
+    array = np.zeros(program.shape, np.int64)
+    array[program.row, program.col] = program.value
+    return array
+
+
 @pytest.mark.parametrize("q", [2, 7, 11, 101])
-def test_msp_and_css_slabs_match_the_whole_array(capsys, t6of11_path, q):
-    with open(t6of11_path) as f:
-        layout = msp.normal_form_layout(access.structure_from_json(f.read()))
-    whole = layout.array(q)
-    psi = " ".join(map(str, layout.psi))
-    expected = f"{layout.d} {layout.e} {q}\n" + rows_to_text(whole, q) + f"psi: {psi}\n"
-    assert run_cli(capsys, "msp", "--structure", t6of11_path, "--q", str(q)) == (0, expected, "")
-    expected = "xbar: " + "\ngenerator: ".join(rows_to_text(whole.T, q).splitlines()) + "\n"
-    assert run_cli(capsys, "css", "--structure", t6of11_path, "--q", str(q)) == (0, expected, "")
+def test_msp_and_css_slabs_match_the_whole_array(capsys, monkeypatch, t6of11_path, q):
+    # The whole 2772 x 2311 matrix and its transpose printed as one slab.
+    program = normal_form(t6of11_path, q)
+    with monkeypatch.context() as whole:
+        whole.setattr(fields, "_SLAB_CELLS", 1 << 40)
+        expected_msp = msp.msp_to_text(program)
+        columns = fields.coords_to_text(*program.columns, program.shape[::-1])
+        expected_css = "xbar: " + "\ngenerator: ".join("".join(columns).splitlines()) + "\n"
+    assert run_cli(capsys, "msp", "--structure", t6of11_path, "--q", str(q)) == (0, expected_msp, "")
+    assert run_cli(capsys, "css", "--structure", t6of11_path, "--q", str(q)) == (0, expected_css, "")
 
 
 def test_css_json_slabs_match_the_whole_array(capsys, t6of11_path):
-    with open(t6of11_path) as f:
-        x_bar, *generators = msp.normal_form_layout(access.structure_from_json(f.read())).array(2).T.tolist()
+    x_bar, *generators = dense(normal_form(t6of11_path, 2)).T.tolist()
     expected = json.dumps({"x_bar": x_bar, "generators": generators}, sort_keys=True) + "\n"
     assert run_cli(capsys, "css", "--structure", t6of11_path, "--format", "json") == (0, expected, "")
 
@@ -243,8 +257,7 @@ def test_css_json_matches_json_dumps(capsys, tmp_path, q):
     for n, sets in [(7, itertools.combinations(range(1, 8), 4)), (1, [[1]])]:
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": n, "minimal_sets": [list(s) for s in sets]}))
-        g = access.structure_from_json(path.read_text())
-        x_bar, *generators = msp.normal_form_layout(g).array(q).T.tolist()
+        x_bar, *generators = dense(normal_form(str(path), q)).T.tolist()
         expected = json.dumps({"x_bar": x_bar, "generators": generators}, sort_keys=True) + "\n"
         argv = ["css", "--structure", str(path), "--q", str(q), "--format", "json"]
         assert run_cli(capsys, *argv) == (0, expected, "")
@@ -279,6 +292,23 @@ def test_large_field_is_accepted(capsys, tri_path):
     code, out, _ = run_cli(capsys, "entropy", "--structure", tri_path, "--q", "100003", "--set", "1")
     assert code == 0
     assert out.startswith(f"{2 * math.log2(100003):.6f} bits (a=2,")
+
+
+def test_uniform_secret_over_a_field_past_2_to_the_64(capsys, tri_path):
+    argv = ["entropy", "--structure", tri_path, "--set", "1", "--q", "18446744073709551629"]
+    assert run_cli(capsys, *argv) == (0, "128.000000 bits (a=2,b=4,m=4, unauthorized)\n", "")
+
+
+def test_oracle_falls_back_without_the_secret_probabilities(capsys, tri_path):
+    # 1000003^6 is over the cap; q floats would take 8 MB.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify-oracle", "--structure", tri_path, "--q", "1000003")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "OK (formula only): 0 violations over 8 subsets\n")
+    assert "exceeds cap" in err and peak < 2**20
 
 
 def test_tent_default_chain(capsys, tri_path):

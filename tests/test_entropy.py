@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,8 +47,30 @@ def test_secret_spec_rejects_non_finite_probabilities():
 
 
 def test_uniform_secret_over_a_large_field():
+    # A uniform secret stores q alone; a list over F_(2^61 - 1) could not be built.
+    tracemalloc.start()
+    try:
+        bits = SecretSpec.uniform(2**61 - 1).entropy_bits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits == math.log2(2**61 - 1) and peak < 4096
     # A plain sum of 100003 copies of 1/100003 misses 1 by more than 1e-12.
-    assert abs(SecretSpec.uniform(100003).entropy_bits - math.log2(100003)) < 1e-9
+    explicit = SecretSpec(100003, (1 / 100003,) * 100003)
+    assert abs(explicit.entropy_bits - math.log2(100003)) < 1e-9
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101, 9817, 65521])
+def test_uniform_secret_matches_its_explicit_list(triangle, q):
+    # log2 q is exact; the explicit list's sum of q terms rounds in its last
+    # bits (by at most 4.5e-11 for q below 10^5), except at q = 2, 3, 5 and 7.
+    uniform, explicit = SecretSpec.uniform(q), SecretSpec(q, (1 / q,) * q)
+    assert np.array_equal(uniform.probabilities, explicit.probabilities)
+    rz = realize(triangle, q)
+    for a in all_subsets(3):
+        bits = subset_report(rz, uniform, a).entropy_bits
+        listed = subset_report(rz, explicit, a).entropy_bits
+        assert bits == listed if q <= 7 else abs(bits - listed) < 5e-11
 
 
 def test_secret_entropy_values():

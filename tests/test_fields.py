@@ -12,15 +12,14 @@ from spanshare.fields import (
     PRIMALITY_LIMIT,
     FieldMatrix,
     PrimeField,
+    coords_to_text,
     is_prime,
     kernel_basis,
     matrix_from_text,
-    matrix_to_text,
     rank,
-    rows_to_text,
     solve_combination,
 )
-from spanshare.msp import normal_form_layout
+from spanshare.msp import MonotoneSpanProgram, build_normal_form
 
 from conftest import brute_rank, brute_solve
 
@@ -214,9 +213,19 @@ def test_kernel_vectors_annihilate_and_are_independent(m):
         assert rank(FieldMatrix(m.field, tuple(basis), m.cols)) == len(basis)
 
 
+def text_of(array: np.ndarray, sep: str = " ", end: str = "\n") -> str:
+    """`coords_to_text` of a canonical 2-D array's nonzeros, joined."""
+    row, col = array.nonzero()
+    return "".join(coords_to_text(row, col, array[row, col], array.shape, sep, end))
+
+
+def joined(rows, sep: str = " ", end: str = "\n") -> str:
+    return "".join(sep.join(map(str, row)) + end for row in rows)
+
+
 def test_matrix_text_roundtrip():
     m = FieldMatrix(PrimeField(3), ((0, 1, 2), (2, 2, 0)))
-    text = matrix_to_text(m)
+    text = "2 3 3\n" + text_of(np.array(m.entries, dtype=np.uint8))
     assert text == "2 3 3\n0 1 2\n2 2 0\n"
     again = matrix_from_text(text)
     assert again == m
@@ -243,30 +252,34 @@ def canonical_arrays(draw):
 @settings(max_examples=200, deadline=None)
 @given(canonical_arrays())
 def test_rows_to_text_matches_a_per_entry_join(case):
+    # The renderer prints rows from coordinates; a 0-row matrix prints nothing.
     q, rows, cols, entries = case
     array = np.array(entries, dtype=np.min_scalar_type(q - 1)).reshape(rows, cols)
-    text = rows_to_text(array, q)
-    assert text == "".join(" ".join(str(x) for x in row) + "\n" for row in entries)
+    text = text_of(array)
+    assert text == joined(entries)
     again = matrix_from_text(f"{rows} {cols} {q}\n" + text)
     assert again.entries == tuple(map(tuple, entries)) and again.cols == cols
 
 
 def test_one_digit_cells_match_the_padded_cells():
-    # q <= 7 takes the one-uint16-per-entry path; wider q joins the longer
-    # entries in at NULs, including values past one byte and past uint16.
+    # Entries below 10 are poked into '0' + sep cells as digits; wider
+    # entries are joined in at NULs, including values past one byte and
+    # past uint16.
     rng = np.random.default_rng(7)
     for q in (2, 7, 11, 101, 65521, 100003):
         for shape in ((1, 1), (9, 13), (40, 2)):
             array = rng.integers(0, q, shape).astype(np.min_scalar_type(q - 1))
-            joined = "".join(" ".join(map(str, row)) + "\n" for row in array.tolist())
-            assert rows_to_text(array, q) == joined
-            assert rows_to_text(np.asfortranarray(array), q) == joined  # `css` prints a transpose
-    # The normal form's entries are 0, 1 and q - 1.
-    layout = normal_form_layout(from_minimal_sets(4, [[1, 2], [2, 3], [2, 4], [1, 3, 4]]))
+            for sep, end in ((" ", "\n"), (", ", "]\n")):  # `css --format json` uses the second
+                assert text_of(array, sep, end) == joined(array.tolist(), sep, end)
+            # `css` prints the columns, the nonzeros sorted by column, then row.
+            matrix = FieldMatrix(PrimeField(q), array.tolist())
+            program = MonotoneSpanProgram.from_matrix(matrix, (1,) * len(array))
+            assert "".join(coords_to_text(*program.columns, shape[::-1])) == joined(array.T.tolist())
+    # The normal form's entries are 0, 1 and q - 1; `css` prints its columns.
+    star = from_minimal_sets(4, [[1, 2], [2, 3], [2, 4], [1, 3, 4]])
     for q in (11, 101):
-        array = layout.array(q)
-        joined = "".join(" ".join(map(str, row)) + "\n" for row in array.tolist())
-        assert rows_to_text(array, q) == joined
-        assert rows_to_text(array.T, q) == "".join(
-            " ".join(map(str, column)) + "\n" for column in array.T.tolist()
-        )
+        program = build_normal_form(star, q)[0]
+        rows = program.matrix.entries
+        text = coords_to_text(program.row, program.col, program.value, program.shape)
+        assert "".join(text) == joined(rows)
+        assert "".join(coords_to_text(*program.columns, program.shape[::-1])) == joined(zip(*rows))

@@ -2,12 +2,12 @@
 
 import dataclasses
 import itertools
-import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spanshare import fields
 from spanshare.access import enumerate_structures, from_minimal_sets, is_authorized
 from spanshare.entropy import realize
 from spanshare.fields import FieldMatrix, PrimeField, rank
@@ -20,10 +20,9 @@ from spanshare.msp import (
     dispensable_rows,
     encoding_image,
     msp_from_text,
+    msp_text_blocks,
     msp_to_text,
-    normal_form_blocks,
     normal_form_layout,
-    normal_form_text,
     rank_bookkeeping,
     rejection_witness,
     row_independence_case,
@@ -96,16 +95,24 @@ def test_build_rejects_bad_structures():
         build_normal_form(from_minimal_sets(3, [[1, 2]]), 2)  # player 3 unused
 
 
-def test_normal_form_text_matches_the_built_program():
-    for n in range(1, 5):
-        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
-            for q in (2, 3, 11):
-                text = msp_to_text(build_normal_form(g, q)[0])
-                assert normal_form_text(g, q) == text, (g.minimal_sets, q)
+def test_normal_form_text_matches_the_built_program(monkeypatch):
+    # The text, printed a slab at a time from the nonzeros, against a
+    # per-entry join of the dense rows: whole, and in slabs of one row
+    # and of a few, which must tile it.
+    for slab_cells in (fields._SLAB_CELLS, 1, 7):
+        monkeypatch.setattr(fields, "_SLAB_CELLS", slab_cells)
+        for n in range(1, 5):
+            for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+                for q in (2, 3, 11):
+                    program = build_normal_form(g, q)[0]
+                    rows = "".join(" ".join(map(str, r)) + "\n" for r in program.matrix.entries)
+                    psi = " ".join(map(str, program.psi))
+                    expected = f"{len(program.psi)} {program.matrix.cols} {q}\n{rows}psi: {psi}\n"
+                    assert msp_to_text(program) == expected, (g.minimal_sets, q, slab_cells)
 
 
 def test_normal_form_matches_rows_built_block_by_block():
-    # The row-by-row construction the layout's array replaced, on a
+    # The row-by-row construction the layout's nonzeros replaced, on a
     # threshold (equal blocks), a hub (unequal blocks) and a triangle
     # whose members are presented out of order.
     q = 3
@@ -132,28 +139,37 @@ def test_normal_form_matches_rows_built_block_by_block():
         assert normal_form_layout(g) == layout
         assert [layout.block_of_row(r) for r in range(-1, layout.d + 1)] == [None, *blocks, None]
         with pytest.raises(ValueError, match="prime"):
-            layout.array(4)
+            layout.program(4)
 
 
-def test_array_windows_tile_the_whole_array():
-    rng = random.Random(15)
-    for n in range(1, 5):
-        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
-            layout = normal_form_layout(g)
-            for q in (2, 3, 11):
-                whole = layout.array(q)
-                for axis, name in enumerate(("rows", "cols")):
-                    size = whole.shape[axis]
-                    cuts = [0, *sorted(rng.choices(range(size + 1), k=3)), size]
-                    parts = [layout.array(q, **{name: span}) for span in zip(cuts, cuts[1:])]
-                    assert all(part.dtype == whole.dtype for part in parts)
-                    assert np.array_equal(np.concatenate(parts, axis=axis), whole), (g.minimal_sets, q)
+@pytest.mark.parametrize(
+    "row, col, value",
+    [(6, 0, 1), (-1, 3, 1), (5, 4, 1), (1, -1, 1), (2, 3, 0), (2, 3, 2), (1, 0, 1)],
+    ids=["row-past-end", "negative-row", "column-past-end", "negative-column", "zero", "past-q", "repeat"],
+)
+def test_program_rejects_nonzeros_off_the_matrix(tri_program, row, col, value):
+    # The triangle's nonzeros plus one more, kept in row-major order.
+    program = tri_program[0]
+    nonzeros = [(*rc, v) for rc, v in zip(zip(program.row, program.col), program.value.tolist())]
+    nonzeros = sorted(nonzeros + [(row, col, value)], key=lambda x: x[:2])
+    row, col, value = map(np.array, zip(*nonzeros))
+    with pytest.raises(ValueError, match="nonzeros must be distinct entries"):
+        MonotoneSpanProgram(program.field, program.shape, row, col, value, program.psi)
 
 
-@pytest.mark.parametrize("rows, cols", [((0, 7), None), ((-1, 2), None), ((3, 2), None), (None, (0, 5))])
-def test_array_rejects_windows_outside_the_matrix(triangle, rows, cols):
-    with pytest.raises(ValueError, match="outside"):
-        normal_form_layout(triangle).array(2, rows, cols)
+def test_program_of_7_of_13_is_its_nonzeros():
+    # 22,308 nonzeros of a 12012 x 10297 matrix: the dense tuple rows alone
+    # would take about 1 GB. None is built until `matrix` is read.
+    rz = realize(from_minimal_sets(13, itertools.combinations(range(1, 14), 7)), 2)
+    tracemalloc.start()
+    try:
+        program = rz.program
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert program.shape == (12012, 10297) and program.value.size == 2 * 10296 + 1716
+    assert "matrix" not in vars(program)
+    assert peak < 5 * 2**20
 
 
 def test_printing_6_of_11_holds_one_slab_at_a_time():
@@ -161,7 +177,7 @@ def test_printing_6_of_11_holds_one_slab_at_a_time():
     g = from_minimal_sets(11, itertools.combinations(range(1, 12), 6))
     tracemalloc.start()
     try:
-        size = sum(map(len, normal_form_blocks(g, 2)))
+        size = sum(map(len, msp_text_blocks(build_normal_form(g, 2)[0])))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,8 +285,7 @@ def test_structural_checks_trivial_program():
 
 def test_structural_check_catches_duplicated_row(tri_program):
     program, layout = tri_program
-    doubled = MonotoneSpanProgram(
-        program.field,
+    doubled = MonotoneSpanProgram.from_matrix(
         FieldMatrix(
             program.field,
             program.matrix.entries + (program.matrix.entries[0],),
@@ -426,7 +441,7 @@ def test_codewords_match_a_brute_force_product():
     assert checked == {2: 56, 3: 46, 5: 11}
     # Shamir 2-of-3 over F_5, rows (1, x) for x = 1, 2, 3: entries other than 0, 1 and q - 1.
     f5 = PrimeField(5)
-    shamir = MonotoneSpanProgram(f5, FieldMatrix(f5, ((1, 1), (1, 2), (1, 3))), (1, 2, 3))
+    shamir = MonotoneSpanProgram.from_matrix(FieldMatrix(f5, ((1, 1), (1, 2), (1, 3))), (1, 2, 3))
     assert np.array_equal(codewords(shamir), brute_codewords(shamir))
 
 
@@ -454,8 +469,7 @@ def test_dispensable_rows_empty_for_normal_forms(tri_program, triangle, star4_rz
 
 def test_dispensable_rows_flags_zero_row(tri_program, triangle):
     program, _ = tri_program
-    padded = MonotoneSpanProgram(
-        program.field,
+    padded = MonotoneSpanProgram.from_matrix(
         FieldMatrix(
             program.field,
             program.matrix.entries + ((0, 0, 0, 0),),

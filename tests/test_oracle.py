@@ -299,10 +299,10 @@ def dense_measures(rz, secret, subset):
     states = [encode_secret(rz.program, s) for s in range(q)]
     pairs = list(combinations(range(q), 2))
     if len(coords) <= len(rest) + 1:
-        mixture = sum(p * _reduce_pure(st, coords) for p, st in zip(secret.distribution, states))
+        mixture = sum(p * _reduce_pure(st, coords) for p, st in zip(secret.probabilities, states))
         entropy = entropy_bits_of(mixture)
     else:
-        weighted = [math.sqrt(p) * st.amplitudes for p, st in zip(secret.distribution, states)]
+        weighted = [math.sqrt(p) * st.amplitudes for p, st in zip(secret.probabilities, states)]
         purified = PureState(q, d + 1, np.stack(weighted, axis=1).ravel())
         entropy = reduced_entropy(purified, rest + [d + 1])
     if not is_authorized(rz.structure, subset):
@@ -348,10 +348,9 @@ def flipped(rz, row, col, value=None):
     entries = [list(r) for r in rz.program.matrix.entries]
     for i in range(len(entries)) if row is None else [row]:
         entries[i][col] = (entries[i][col] + 1) % rz.q if value is None else value
-    field = rz.program.field
-    matrix = FieldMatrix(field, tuple(map(tuple, entries)), rz.program.matrix.cols)
+    matrix = FieldMatrix(rz.program.field, tuple(map(tuple, entries)), rz.program.matrix.cols)
     bad = SchemeRealization(rz.structure, rz.layout, rz.hidden_player, rz.q)
-    bad.__dict__["program"] = MonotoneSpanProgram(field, matrix, rz.program.psi)
+    bad.__dict__["program"] = MonotoneSpanProgram.from_matrix(matrix, rz.program.psi)
     return bad
 
 
