@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -95,20 +96,43 @@ def test_build_rejects_bad_structures():
         build_normal_form(from_minimal_sets(3, [[1, 2]]), 2)  # player 3 unused
 
 
-def test_normal_form_text_matches_the_built_program(monkeypatch):
-    # The text, printed a slab at a time from the nonzeros, against a
-    # per-entry join of the dense rows: whole, and in slabs of one row
-    # and of a few, which must tile it.
-    for slab_cells in (fields._SLAB_CELLS, 1, 7):
-        monkeypatch.setattr(fields, "_SLAB_CELLS", slab_cells)
-        for n in range(1, 5):
-            for g in enumerate_structures(n, realizable_only=True, connected_only=True):
-                for q in (2, 3, 11):
-                    program = build_normal_form(g, q)[0]
-                    rows = "".join(" ".join(map(str, r)) + "\n" for r in program.matrix.entries)
-                    psi = " ".join(map(str, program.psi))
-                    expected = f"{len(program.psi)} {program.matrix.cols} {q}\n{rows}psi: {psi}\n"
-                    assert msp_to_text(program) == expected, (g.minimal_sets, q, slab_cells)
+def test_normal_form_text_matches_the_built_program():
+    # The text, printed from the nonzeros, against a per-entry join of the
+    # dense rows.
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            for q in (2, 3, 11):
+                program = build_normal_form(g, q)[0]
+                rows = "".join(" ".join(map(str, r)) + "\n" for r in program.matrix.entries)
+                psi = " ".join(map(str, program.psi))
+                expected = f"{len(program.psi)} {program.matrix.cols} {q}\n{rows}psi: {psi}\n"
+                assert msp_to_text(program) == expected, (g.minimal_sets, q)
+
+
+def test_array_windows_tile_the_whole_array(monkeypatch):
+    # The normal-form matrix, and its transpose, printed in slabs of random
+    # sizes: each slab is whole lines, as many as the slab size allows, and
+    # the slabs join to the text printed in one slab.
+    rng = random.Random(15)
+    for n in range(1, 5):
+        for g in enumerate_structures(n, realizable_only=True, connected_only=True):
+            for q in (2, 3, 11):
+                program = build_normal_form(g, q)[0]
+                for nonzeros, shape in [
+                    ((program.row, program.col, program.value), program.shape),
+                    (program.columns, program.shape[::-1]),
+                ]:
+                    rows, cols = shape
+                    monkeypatch.setattr(fields, "_SLAB_CELLS", rows * cols)
+                    (whole,) = fields.coords_to_text(*nonzeros, shape)
+                    for slab_cells in (1, *rng.choices(range(1, rows * cols + 1), k=3)):
+                        monkeypatch.setattr(fields, "_SLAB_CELLS", slab_cells)
+                        step = max(1, slab_cells // cols)
+                        slabs = list(fields.coords_to_text(*nonzeros, shape))
+                        lines = [slab.count("\n") for slab in slabs]
+                        assert lines == [min(step, rows - lo) for lo in range(0, rows, step)]
+                        assert all(slab.endswith("\n") for slab in slabs)
+                        assert "".join(slabs) == whole, (g.minimal_sets, q, shape, slab_cells)
 
 
 def test_normal_form_matches_rows_built_block_by_block():
