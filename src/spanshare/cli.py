@@ -40,15 +40,10 @@ def _parse_chain(text: str) -> list[tuple[int, ...]]:
     return [()] + steps
 
 
-def _secret_spec(args) -> SecretSpec | None:
-    """The given secret, checked; else the uniform one, or for a command that
-    never reads it (its q floats cost time and memory for large q) only the
-    field-size check."""
+def _secret_spec(args) -> SecretSpec:
+    """The given secret, checked; else the uniform one, which stores only q."""
     if args.secret is not None:
         return SecretSpec(args.q, tuple(float(x) for x in args.secret.split(",")))
-    if args.command in _SECRETLESS:
-        entropy.check_field_size(args.q)
-        return None
     return SecretSpec.uniform(args.q)
 
 
@@ -56,9 +51,8 @@ def _sets_json(sets) -> str:
     return json.dumps([list(s) for s in sets], separators=(",", ":"))
 
 
-# Each handler takes the parsed arguments, the structure, the secret (None
-# for a command in _SECRETLESS run without --secret) and an `emit`
-# callback, and returns the exit status. An emitted str is one
+# Each handler takes the parsed arguments, the structure, the secret and
+# an `emit` callback, and returns the exit status. An emitted str is one
 # output line; any other item is an iterable of text blocks that carry
 # their own newlines, so large outputs are written without being joined.
 
@@ -242,10 +236,6 @@ COMMANDS = {
     "css": (_css, "print the coset form: secret vector and code generators"),
     "tent": (_tent, "CSV entropy profile along one maximal chain"),
 }
-
-# The commands whose handlers never read the secret.
-_SECRETLESS = {"classify", "dual", "purify", "msp", "css"}
-
 
 @functools.cache
 def _parser() -> _Parser:

@@ -65,11 +65,6 @@ from .fields import PrimeField
 from .msp import MonotoneSpanProgram, NormalFormLayout, normal_form_layout
 
 
-def check_field_size(q: int) -> None:
-    if q < 2:
-        raise ValueError(f"field size must be at least 2, got {q}")
-
-
 @dataclass(frozen=True)
 class SecretSpec:
     """Classical secret ensemble: a probability for each value in F_q. The
@@ -79,7 +74,8 @@ class SecretSpec:
     distribution: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        check_field_size(self.q)
+        if self.q < 2:
+            raise ValueError(f"field size must be at least 2, got {self.q}")
         if self.distribution is None:
             return
         if len(self.distribution) != self.q:

@@ -1,14 +1,17 @@
 """Exact linear algebra over prime fields F_q.
 
-Everything here works on plain Python integers reduced to canonical
-representatives in [0, q-1], so ranks, solved coefficients and kernel
-vectors are exact (no floating point anywhere). Elimination uses
-first-nonzero pivoting, which makes every result deterministic. numpy
-enters only in `coords_to_text`, which prints a matrix from its nonzeros.
+A matrix is one read-only 2-D array of canonical representatives in
+[0, q-1]. It is int64 while (q - 1)^2 + q < 2^63, so that every product
+elimination forms fits; above that it is an object array of Python ints,
+run through the same code. Ranks, solved coefficients and kernel vectors
+are exact: no float dtype touches them. Elimination uses first-nonzero
+pivoting, which makes every result deterministic. `coords_to_text` prints
+a matrix from its nonzeros.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -59,81 +62,100 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
+    @property
+    def dtype(self) -> np.dtype:
+        """int64 while (q - 1)^2 + q < 2^63, so that elimination's products
+        fit; above that, object arrays of Python ints, through the same code."""
+        return np.dtype(np.int64 if (self.q - 1) ** 2 + self.q < 2**63 else object)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FieldMatrix:
-    """Immutable d x e matrix with entries canonical in [0, q-1].
+    """Immutable d x e matrix as one read-only array of entries canonical in
+    [0, q-1], of the field's dtype. Given rows of integers, or an array of
+    another dtype, it reduces them as Python ints, which is exact at any size.
 
     `cols` must be given explicitly when there are no rows, since a
-    0 x e matrix still has a well-defined kernel.
+    0 x e matrix still has a well-defined kernel. Matrices are equal when
+    their fields and entries are.
     """
 
     field: PrimeField
-    entries: tuple[Vector, ...]
+    array: np.ndarray
     cols: int = -1
 
     def __post_init__(self):
-        q = self.field.q
-        if self.cols < 0:
-            if not self.entries:
-                raise ValueError("column count required for a matrix with no rows")
-            object.__setattr__(self, "cols", len(self.entries[0]))
-        canon = []
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows in matrix")
-            # C-level min/max keep a canonical tuple row without copying it.
-            if type(row) is tuple and (not row or 0 <= min(row) and max(row) < q):
-                canon.append(row)
-            else:
-                canon.append(tuple(x % q for x in row))
-        object.__setattr__(self, "entries", tuple(canon))
+        dtype, q, array = self.field.dtype, self.field.q, self.array
+        if not (isinstance(array, np.ndarray) and array.dtype == dtype):
+            array = np.array(array, object)
+        if array.shape == (0,) and self.cols >= 0:
+            array = array.reshape(0, self.cols)
+        if array.ndim != 2 or self.cols not in (-1, array.shape[1]):
+            raise ValueError("rows must share one length, cols if given; no rows need cols")
+        if array.dtype == object:  # as Python ints, exact at any size: numpy scalars wrap
+            reduce = np.frompyfunc(lambda x: operator.index(x) % q, 1, 1)
+            array = reduce(array).astype(dtype, copy=False)
+        else:
+            array = array % q
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "cols", array.shape[1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldMatrix):
+            return NotImplemented
+        return self.field == other.field and np.array_equal(self.array, other.array)
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows as tuples of Python ints."""
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        return len(self.array)
 
     def submatrix(self, row_indices) -> "FieldMatrix":
-        return FieldMatrix(self.field, tuple(self.entries[i] for i in row_indices), self.cols)
+        return FieldMatrix(self.field, self.array[list(row_indices)], self.cols)
 
     def mul_vector(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         q = self.field.q
-        return tuple(sum(a * b for a, b in zip(row, v)) % q for row in self.entries)
+        products = self.array * np.array([x % q for x in v], self.field.dtype) % q
+        return tuple((products.sum(axis=1) % q).tolist())
 
 
-def _rref(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a copy of `a`; returns (rows, pivot columns).
+
+    The pivot is the first row with a nonzero in the column, and one array
+    update clears the column from every other row it hits. Rows from the
+    pivot's down are zero left of its column, so the update starts there.
+    """
+    a = a.copy()
     pivots: list[int] = []
-    h = 0
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    nrows, ncols = a.shape
     for col in range(ncols):
+        h = len(pivots)
         if h == nrows:
             break
-        pivot = next((r for r in range(h, nrows) if rows[r][col] % q != 0), None)
-        if pivot is None:
+        hits = a[h:, col].nonzero()[0]
+        if not hits.size:
             continue
-        rows[h], rows[pivot] = rows[pivot], rows[h]
-        inv = pow(rows[h][col], q - 2, q)
-        rows[h] = [(x * inv) % q for x in rows[h]]
-        for r in range(nrows):
-            if r != h and rows[r][col] % q != 0:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[h])]
+        if hits[0]:
+            a[[h, h + hits[0]]] = a[[h + hits[0], h]]
+        a[h, col:] = a[h, col:] * pow(int(a[h, col]), q - 2, q) % q
+        hit = a[:, col].nonzero()[0]
+        hit = hit[hit != h]
+        a[hit, col:] = (a[hit, col:] - a[hit, col, None] * a[h, col:]) % q
         pivots.append(col)
-        h += 1
-    return rows, pivots
+    return a, pivots
 
 
 def rank(m: FieldMatrix) -> int:
     """Dimension of the row space, by exact Gaussian elimination."""
-    _, pivots = _rref([list(r) for r in m.entries], m.field.q)
-    return len(pivots)
+    return len(_rref(m.array, m.field.q)[1])
 
 
 def solve_combination(m: FieldMatrix, target: Vector) -> Vector | None:
@@ -146,33 +168,23 @@ def solve_combination(m: FieldMatrix, target: Vector) -> Vector | None:
         raise ValueError("target length does not match column count")
     q = m.field.q
     # Solve M^t lam = target as a linear system on the transpose.
-    aug = [[m.entries[i][j] for i in range(m.rows)] + [target[j] % q] for j in range(m.cols)]
-    if not aug:
-        return (0,) * m.rows  # 0-column matrix: every combination hits the empty target
-    reduced, pivots = _rref(aug, q)
+    column = np.array([x % q for x in target], m.field.dtype)
+    reduced, pivots = _rref(np.column_stack((m.array.T, column)), q)
     if m.rows in pivots:
         return None  # pivot in the augmented column: inconsistent
-    lam = [0] * m.rows
-    for i, col in enumerate(pivots):
-        lam[col] = reduced[i][m.rows]
-    return tuple(lam)
+    lam = np.zeros(m.rows, m.field.dtype)
+    lam[pivots] = reduced[: len(pivots), m.rows]
+    return tuple(lam.tolist())
 
 
 def kernel_basis(m: FieldMatrix) -> list[Vector]:
     """Canonical basis of {v : M v = 0}, one vector per free column."""
-    q = m.field.q
-    reduced, pivots = _rref([list(r) for r in m.entries], q)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[free] = 1
-        for i, col in enumerate(pivots):
-            v[col] = (-reduced[i][free]) % q
-        basis.append(tuple(v))
-    return basis
+    reduced, pivots = _rref(m.array, m.field.q)
+    free = np.delete(np.arange(m.cols), pivots)
+    basis = np.zeros((len(free), m.cols), m.field.dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-reduced[: len(pivots), free]).T % m.field.q
+    return list(map(tuple, basis.tolist()))
 
 
 # Cells in one printed slab: it bounds the slab's buffer and text.
@@ -223,10 +235,4 @@ def matrix_from_text(text: str) -> FieldMatrix:
         raise ValueError(f"bad matrix header {lines[0]!r}") from exc
     if len(lines) != d + 1:
         raise ValueError(f"expected {d} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = tuple(int(x) for x in ln.split())
-        if len(row) != e:
-            raise ValueError(f"expected {e} entries per row, got {len(row)}")
-        rows.append(row)
-    return FieldMatrix(PrimeField(q), tuple(rows), e)
+    return FieldMatrix(PrimeField(q), [[int(x) for x in ln.split()] for ln in lines[1:]], e)

@@ -11,9 +11,10 @@ closing row with the last, both in presentation order. A layout holds
 only that presentation and its structure, and derives its geometry.
 A program holds its matrix as coordinate arrays of its nonzeros, 2c + k
 of them in the normal form: `NormalFormLayout.program` lays them out,
-and `codewords` and the printers read them. The dense `FieldMatrix` of
-tuple rows is built on the first read of `MonotoneSpanProgram.matrix`,
-for exact elimination only.
+and `codewords` and the printers read them. Exact elimination reads
+`MonotoneSpanProgram.matrix`, a `FieldMatrix` whose one array is filled
+from them on first read, int64 or Python ints as q requires;
+`structural_check` takes column supports from the nonzeros themselves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .access import AccessStructure, Subset
-from .access import is_authorized, is_connected, is_realizable, subsets_in_order
+from .access import _mask, is_authorized, is_connected, is_realizable, subsets_in_order
 from .fields import (
     FieldMatrix,
     PrimeField,
@@ -69,10 +70,9 @@ class MonotoneSpanProgram:
     @classmethod
     def from_matrix(cls, matrix: FieldMatrix, psi) -> MonotoneSpanProgram:
         """The program of a dense matrix: its nonzeros, in row-major order."""
-        shape = (matrix.rows, matrix.cols)
-        dense = np.array(matrix.entries, _entry_dtype(matrix.field.q)).reshape(shape)
-        row, col = dense.nonzero()
-        return cls(matrix.field, shape, row, col, dense[row, col], tuple(psi))
+        row, col = matrix.array.nonzero()
+        value = matrix.array[row, col].astype(_entry_dtype(matrix.field.q))
+        return cls(matrix.field, matrix.array.shape, row, col, value, tuple(psi))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonotoneSpanProgram):
@@ -83,10 +83,10 @@ class MonotoneSpanProgram:
 
     @cached_property
     def matrix(self) -> FieldMatrix:
-        """The dense matrix as tuple rows, for exact elimination: built on first read."""
-        dense = np.zeros(self.shape, self.value.dtype)
-        dense[self.row, self.col] = self.value
-        return FieldMatrix(self.field, tuple(map(tuple, dense.tolist())), self.shape[1])
+        """The dense matrix, for exact elimination: built on first read."""
+        dense = np.zeros(self.shape, self.field.dtype)
+        dense[self.row, self.col] = self.value.tolist()  # Python ints, exact in an object array
+        return FieldMatrix(self.field, dense)
 
     @property
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,8 +103,9 @@ class MonotoneSpanProgram:
         return (1,) + (0,) * (self.shape[1] - 1)
 
     def rows_of(self, players) -> list[int]:
-        wanted = set(players)
-        return [i for i, p in enumerate(self.psi) if p in wanted]
+        """The rows labeled by `players`; a ValueError for a player outside 1..n."""
+        held = _mask(players, self.n_players)
+        return [i for i, p in enumerate(self.psi) if held >> (p - 1) & 1]
 
     def submatrix(self, players) -> FieldMatrix:
         return self.matrix.submatrix(self.rows_of(players))
@@ -301,13 +302,10 @@ def structural_check(msp: MonotoneSpanProgram, layout: NormalFormLayout) -> Stru
         rank(msp.submatrix([p])) == len(msp.rows_of([p]))
         for p in range(1, msp.n_players + 1)
     )
-    col_ok = True
-    for j in range(1, msp.matrix.cols):
-        support = [i for i in range(msp.matrix.rows) if msp.matrix.entries[i][j] != 0]
-        blocks = {layout.block_of_row(i) for i in support}
-        if len(support) != 2 or len(blocks) != 1 or None in blocks:
-            col_ok = False
-            break
+    col, row, _ = msp.columns  # by column, then row: a band column's rows are adjacent
+    counts = np.bincount(col, minlength=msp.shape[1])
+    blocks = [layout.block_of_row(r) for r in row[col > 0].tolist()]
+    col_ok = bool(np.all(counts[1:] == 2)) and None not in blocks and blocks[::2] == blocks[1::2]
     return StructuralReport(auth_ok, rank_ok, player_ok, col_ok)
 
 
@@ -474,10 +472,8 @@ class CssForm:
 
 def to_css(msp: MonotoneSpanProgram, layout: NormalFormLayout) -> CssForm:
     """Read the coset form off the columns of a normal-form matrix."""
-    m = msp.matrix
-    return CssForm(
-        msp.field.q, m.column(0), tuple(m.column(j) for j in range(1, m.cols))
-    )
+    x_bar, *generators = map(tuple, msp.matrix.array.T.tolist())
+    return CssForm(msp.field.q, x_bar, tuple(generators))
 
 
 def codewords(msp: MonotoneSpanProgram) -> np.ndarray:

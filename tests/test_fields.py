@@ -1,5 +1,6 @@
 """Exact prime-field linear algebra against brute-force enumeration."""
 
+import random
 import time
 
 import numpy as np
@@ -87,10 +88,11 @@ def test_entries_canonicalized():
 
 
 def test_canonical_tuple_rows_are_kept():
+    # Rows are kept by value in one read-only array and read back as tuples.
     row = (2, 1, 0)
     m = FieldMatrix(PrimeField(3), (row, [4, -1, 3]))
-    assert m.entries[0] is row
-    assert m.entries[1] == (1, 2, 0) and type(m.entries[1]) is tuple
+    assert m.entries == (row, (1, 2, 0)) and all(type(r) is tuple for r in m.entries)
+    assert m.array.dtype == np.int64 and not m.array.flags.writeable
 
 
 def test_dimension_checks():
@@ -211,6 +213,27 @@ def test_kernel_vectors_annihilate_and_are_independent(m):
         assert m.mul_vector(v) == (0,) * m.rows
     if basis:
         assert rank(FieldMatrix(m.field, tuple(basis), m.cols)) == len(basis)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [3037000493, 3037000507, 2**61 - 1])
+def test_large_q_results_substitute_back(q):
+    # Entries near q give products near (q - 1)^2, which the int64 path
+    # holds up to 3037000493; above it the same code runs on Python ints.
+    rng = random.Random(q)
+    rows = [[rng.choice((0, 1, q - 2, q - 1, rng.randrange(q))) for _ in range(5)] for _ in range(4)]
+    rows.append([(a + (q - 1) * b) % q for a, b in zip(rows[0], rows[1])])
+    m = FieldMatrix(PrimeField(q), rows)
+    basis = kernel_basis(m)
+    assert len(basis) == 5 - rank(m) >= 1
+    for v in basis:
+        assert all(sum(x * y for x, y in zip(row, v)) % q == 0 for row in rows)
+    target = [(3 * a + (q - 5) * b) % q for a, b in zip(rows[2], rows[3])]
+    lam = solve_combination(m, target)
+    assert [sum(c * row[j] for c, row in zip(lam, rows)) % q for j in range(5)] == target
+    # Rows of numpy integer scalars, whose products would wrap, are read as Python ints.
+    scalars = FieldMatrix(PrimeField(q), [list(np.array(row, np.uint64)) for row in rows])
+    assert kernel_basis(scalars) == basis and solve_combination(scalars, target) == lam
 
 
 def text_of(array: np.ndarray, sep: str = " ", end: str = "\n") -> str:

@@ -322,6 +322,67 @@ def test_structural_check_catches_duplicated_row(tri_program):
     assert not report.all_pass()
 
 
+STAR_HUB2_SETS = [[1, 2], [2, 3], [2, 4], [1, 3, 4]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q, dtype", [(3037000493, np.int64), (3037000507, object), (2**61 - 1, object)])
+@pytest.mark.parametrize("n, sets", [(3, [[1, 2], [2, 3], [3, 1]]), (4, STAR_HUB2_SETS)])
+def test_elimination_is_exact_at_large_q(q, dtype, n, sets):
+    # 3037000493 is the largest prime with (q - 1)^2 + q below 2^63, the
+    # last on int64; the next prime and 2^61 - 1 eliminate Python ints.
+    g = from_minimal_sets(n, sets)
+    program, layout = build_normal_form(g, q)
+    assert program.matrix.array.dtype == dtype
+    assert rank(program.matrix) == program.shape[1]
+    rows = program.matrix.entries
+    for a in all_subsets(n):
+        result = accepts(program, a)
+        assert bool(result) == is_authorized(g, a)
+        if result:
+            assert all(type(lam) is int for lam in result.coefficients)
+            combo = (sum(lam * rows[i][j] for lam, i in zip(result.coefficients, result.row_indices)) % q
+                     for j in range(program.shape[1]))
+            assert tuple(combo) == program.target
+        else:
+            v = rejection_witness(program, a)
+            assert v[0] != 0
+            assert all(sum(x * y for x, y in zip(rows[i], v)) % q == 0 for i in program.rows_of(a))
+    assert structural_check(program, layout).all_pass()
+
+
+def test_rank_bookkeeping_refuses_a_pivot_outside_the_players(tri_program, triangle):
+    program, layout = tri_program
+    with pytest.raises(ValueError, match="player 99 out of range 1..3"):
+        rank_bookkeeping(program, layout, triangle, (1,), 99)
+
+
+def test_accepts_refuses_a_player_outside_the_players(tri_program):
+    program, _ = tri_program
+    with pytest.raises(ValueError, match="player 99 out of range 1..3"):
+        accepts(program, (1, 2, 99))
+    with pytest.raises(ValueError, match="player 0 out of range 1..3"):
+        accepts(program, (0,))
+
+
+def test_structural_check_catches_columns_outside_one_block(tri_program):
+    program, layout = tri_program
+    assert structural_check(program, layout).columns_have_two_supports_in_one_block
+    # Rows 1 and 2 swapped: band columns 1 and 2 each pair rows of blocks 0 and 1.
+    order = [0, 2, 1, 3, 4, 5]
+    swapped = FieldMatrix(program.field, program.matrix.array[order])
+    across = MonotoneSpanProgram.from_matrix(swapped, [program.psi[i] for i in order])
+    # Column 1 also in rows 2 and 3: four supports, two in each of two blocks.
+    wide = program.matrix.array.copy()
+    wide[2:4, 1] = 1
+    wider = MonotoneSpanProgram.from_matrix(FieldMatrix(program.field, wide), program.psi)
+    for bad in (across, wider):
+        assert not structural_check(bad, layout).columns_have_two_supports_in_one_block
+    # The layout of {1, 2} alone has two rows: rows 2 to 5 lie outside its block.
+    short = normal_form_layout(from_minimal_sets(2, [[1, 2]]))
+    assert not structural_check(program, short).columns_have_two_supports_in_one_block
+
+
 def _admissible_triples(program, layout, g):
     players = set(g.players)
     for a in all_subsets(g.n):
