@@ -95,9 +95,7 @@ def _msp(args, g, secret, emit) -> int:
 
 
 def _entropy(args, g, secret, emit) -> int:
-    report = entropy.subset_report(
-        entropy.realize(g, args.q), secret, _parse_players(args.subset)
-    )
+    report = entropy.subset_entropy(g, secret, _parse_players(args.subset))
     if args.fmt == "json":
         emit(
             json.dumps(
@@ -124,13 +122,7 @@ def _entropy(args, g, secret, emit) -> int:
 def _profile(args, g, secret, emit) -> int:
     rz = entropy.realize(g, args.q)
     if args.all_chains:
-        for chain in entropy.maximal_chains(g):
-            profile = entropy.chain_profile(g, secret, chain, rz)
-            order = ">".join(
-                str((set(b) - set(a)).pop()) for a, b in zip(chain, chain[1:])
-            )
-            vals = ",".join(f"{v:.6f}" for v in profile.entropies)
-            emit(f"chain {order} entropies {vals} crossover {profile.crossover}")
+        emit(entropy.chain_text_blocks(g, secret, rz))
         return 0
     chain = _parse_chain(args.chain) if args.chain else entropy.greedy_chain(g)
     profile = entropy.chain_profile(g, secret, chain, rz)

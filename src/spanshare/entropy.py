@@ -34,9 +34,10 @@ K(A') is 0, so
 the number of minimal sets that meet both A and A' (none lies inside
 both). So S(A) = cut(A) * log2(q), plus S(secret) when A is authorized.
 `NormalFormLayout.cut_table` holds the flag and cut(A) for every player
-set; a and b are recovered from cut(A) and the degrees, since
-k - cut(A) - 1 = K - 1 for the side holding whole blocks. Exact
-elimination over F_q is the reference the tests hold them to.
+set. `mask_entropies`, the one evaluator that reports, sweeps, chains and
+the oracle's comparison read, takes them for masks of any shape and
+recovers a and b from cut(A) and the degrees (k - cut(A) - 1 = K - 1 on
+the side holding whole blocks). Tests hold it to exact elimination.
 
 The paper's theorems follow. On unauthorized sets K(A) = 0 and
 cut(A) = k - K(A'); as A grows, A' shrinks, so the entropy is
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import islice, permutations, repeat
 
 import numpy as np
 
@@ -80,9 +81,9 @@ class SecretSpec:
             return
         if len(self.distribution) != self.q:
             raise ValueError("need one probability per field element")
-        # NaN compares false both ways, so `p < 0` and the sum check let it through.
-        if not all(math.isfinite(p) and p >= 0 for p in self.distribution):
-            raise ValueError("probabilities must be finite and nonnegative")
+        # NaN fails both comparisons; above 1 goes before the sum, which would overflow.
+        if not all(0 <= p <= 1 for p in self.distribution):
+            raise ValueError("probabilities must be finite and within [0, 1]")
         if abs(math.fsum(self.distribution) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
 
@@ -119,12 +120,6 @@ class EntropyReport:
     rank_total: int  # rank of the whole matrix
     entropy_bits: float
 
-    def __post_init__(self):
-        if max(self.rank_subset, self.rank_complement) > self.rank_total:
-            raise ValueError("subset ranks cannot exceed the full rank")
-        if self.entropy_bits < -1e-12:
-            raise ValueError("entropy cannot be negative")
-
     @property
     def rank_excess(self) -> int:
         """The integer a + b - m that scales log2 q."""
@@ -150,11 +145,6 @@ class SchemeRealization:
     def program(self) -> MonotoneSpanProgram:
         return self.layout.program(self.q)
 
-    @property
-    def full_players(self) -> Subset:
-        n = self.structure.n + (1 if self.hidden_player else 0)
-        return tuple(range(1, n + 1))
-
 
 def realize(g: AccessStructure, q: int = 2) -> SchemeRealization:
     """The normal-form realization of `g` over F_q, purifying when not self-dual.
@@ -173,47 +163,37 @@ def realize(g: AccessStructure, q: int = 2) -> SchemeRealization:
     return SchemeRealization(g, layout, hidden, q)
 
 
-def _counted(rz: SchemeRealization, secret: SecretSpec, authorized, split, rows):
-    """a, b and the entropy in bits from the cut count and the rows held. Plain
-    arithmetic, flags as 0/1: one subset's Python numbers and arrays of many
-    give the same floats."""
+def mask_entropies(rz: SchemeRealization, secret: SecretSpec, masks: np.ndarray):
+    """Arrays of authorized, a, b and the entropy in bits, shaped as `masks`, the
+    subsets of the original players as integer masks; their ranges are checked."""
+    if secret.q != rz.q:
+        raise ValueError("secret field does not match the program field")
     layout = rz.layout
-    tied = layout.k - split - 1  # K - 1 on the side holding whole blocks
+    auth, cut = layout.cut_table
+    authorized, split = auth[masks], cut[masks]
+    held = masks[..., None] >> np.arange(rz.structure.n) & 1
+    rows = held @ layout.degrees[1 : rz.structure.n + 1]
+    tied = layout.k - 1 - split  # K - 1 on the side holding whole blocks
     a_rk = rows - tied * authorized
-    b_rk = layout.d - rows - tied * (1 - authorized)
-    return a_rk, b_rk, split * math.log2(rz.q) + secret.entropy_bits * authorized
+    b_rk = layout.d - tied - a_rk
+    bits = split * math.log2(rz.q) + secret.entropy_bits * authorized
+    if np.maximum(a_rk, b_rk).max(initial=0) > layout.e:
+        raise ValueError("subset ranks cannot exceed the full rank")
+    if bits.min(initial=0.0) < -1e-12:
+        raise ValueError("entropy cannot be negative")
+    return authorized, a_rk, b_rk, bits
+
+
+def _reports(rz: SchemeRealization, secret: SecretSpec, subsets, masks) -> list[EntropyReport]:
+    """One report per subset, from `mask_entropies` on their masks."""
+    authorized, a_rk, b_rk, bits = (c.tolist() for c in mask_entropies(rz, secret, masks))
+    return list(map(EntropyReport, subsets, authorized, a_rk, b_rk, repeat(rz.layout.e), bits))
 
 
 def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport:
     """Entropy of the shares of `a`, a subset of the original players."""
-    if secret.q != rz.q:
-        raise ValueError("secret field does not match the program field")
     a = tuple(sorted(set(a)))
-    layout = rz.layout
-    auth, cut = layout.cut_table
-    s = access._mask(a, rz.structure.n)
-    authorized, split = auth.item(s), cut.item(s)
-    rows = sum(map(layout.degrees.__getitem__, a))
-    a_rk, b_rk, bits = _counted(rz, secret, authorized, split, rows)
-    return EntropyReport(a, authorized, a_rk, b_rk, layout.e, bits)
-
-
-def subset_bits(rz: SchemeRealization, secret: SecretSpec, masks: np.ndarray) -> np.ndarray:
-    """`subset_report`'s entropies of many subsets of the original players,
-    given as masks: the same arithmetic, so the same floats, with both
-    `EntropyReport` checks run on the arrays."""
-    if secret.q != rz.q:
-        raise ValueError("secret field does not match the program field")
-    layout = rz.layout
-    auth, cut = layout.cut_table
-    held = masks[:, None] >> np.arange(rz.structure.n) & 1
-    rows = held @ np.array(layout.degrees[1 : rz.structure.n + 1])
-    a_rk, b_rk, bits = _counted(rz, secret, auth[masks], cut[masks], rows)
-    if (np.maximum(a_rk, b_rk) > layout.e).any():
-        raise ValueError("subset ranks cannot exceed the full rank")
-    if (bits < -1e-12).any():
-        raise ValueError("entropy cannot be negative")
-    return bits
+    return _reports(rz, secret, [a], np.array([access._mask(a, rz.structure.n)]))[0]
 
 
 def subset_entropy(g: AccessStructure, secret: SecretSpec, a) -> EntropyReport:
@@ -239,7 +219,8 @@ def all_subset_entropies(
     g: AccessStructure, secret: SecretSpec, rz: SchemeRealization | None = None
 ) -> list[EntropyReport]:
     rz = _sweep(g, secret, rz)[0]
-    return [subset_report(rz, secret, a) for a in subsets_in_order(g.players)]
+    masks = map(sum, subsets_in_order([1 << p - 1 for p in g.players]))
+    return _reports(rz, secret, subsets_in_order(g.players), np.fromiter(masks, np.int64))
 
 
 @dataclass(frozen=True)
@@ -303,11 +284,8 @@ class EntropyProfile:
 
     def is_tent(self) -> bool:
         """Nondecreasing before the crossover, nonincreasing after it."""
-        vals = [r.rank_excess for r in self.reports]
-        j = self.crossover
-        rising = all(vals[i] <= vals[i + 1] for i in range(j - 1))
-        falling = all(vals[i] >= vals[i + 1] for i in range(j, len(vals) - 1))
-        return rising and falling
+        vals, j = [r.rank_excess for r in self.reports], self.crossover
+        return vals[:j] == sorted(vals[:j]) and vals[j:] == sorted(vals[j:], reverse=True)
 
 
 def chain_profile(
@@ -330,11 +308,10 @@ def chain_profile(
         if not (set(prev) < set(nxt) and len(nxt) == len(prev) + 1):
             raise ValueError("chain must add exactly one player per step")
     rz = rz or realize(g, secret.q)
-    reports = tuple(subset_report(rz, secret, step) for step in chain)
+    reports = _reports(rz, secret, chain, np.array([access._mask(s, g.n) for s in chain]))
     flags = [r.authorized for r in reports]
     if flags != sorted(flags) or not flags[-1]:
         raise RuntimeError("authorization must flip exactly once along a chain")
-    crossover = flags.index(True)
     if reports[0].rank_excess != 0:
         raise RuntimeError("empty set must carry zero entropy")
     final = reports[-1]
@@ -342,7 +319,7 @@ def chain_profile(
         raise RuntimeError("full set of a pure scheme must carry exactly the secret entropy")
     if final.rank_excess < 0:
         raise RuntimeError("full set must carry at least the secret entropy")
-    return EntropyProfile(tuple(chain), reports, crossover)
+    return EntropyProfile(tuple(chain), tuple(reports), flags.index(True))
 
 
 def maximal_chains(g: AccessStructure):
@@ -359,6 +336,37 @@ def maximal_chains(g: AccessStructure):
         [tuple(sorted(perm[:i])) for i in range(g.n + 1)]
         for perm in permutations(g.players)
     )
+
+
+_SLAB_CHAINS = 1 << 12
+
+
+def chain_text_blocks(g: AccessStructure, secret: SecretSpec, rz: SchemeRealization):
+    """`chain_profile` over all `maximal_chains` as text, a block per `_SLAB_CHAINS`
+    chains. The chains share one table, checked before the first block: the
+    first chain's profile checks the end contracts, `mask_entropies` every
+    subset's ranges, and the flag flips once along every chain iff no covering
+    pair goes from authorized to unauthorized. Each chain gathers its text from
+    that one evaluation, formatted once per subset."""
+    chain_profile(g, secret, next(maximal_chains(g)), rz)  # refused past the cap
+    masks = np.arange(1 << g.n)
+    authorized, _, _, bits = mask_entropies(rz, secret, masks)
+    if not all((authorized <= authorized[masks | 1 << b]).all() for b in range(g.n)):
+        raise RuntimeError("authorization must flip exactly once along a chain")
+    return _chain_lines(g, authorized, np.array([f"{v:.6f}" for v in bits.tolist()], object))
+
+
+def _chain_lines(g: AccessStructure, authorized: np.ndarray, fixed6: np.ndarray):
+    labels = np.array([str(p) for p in range(g.n + 1)], object)
+    orders = permutations(g.players)
+    while slab := list(islice(orders, _SLAB_CHAINS)):
+        players = np.array(slab)
+        masks = np.bitwise_or.accumulate(np.pad(1 << players - 1, ((0, 0), (1, 0))), axis=1)
+        crossovers = authorized[masks].argmax(axis=1).tolist()  # the first authorized set
+        yield "".join(
+            f"chain {'>'.join(order)} entropies {','.join(vals)} crossover {c}\n"
+            for order, vals, c in zip(labels[players].tolist(), fixed6[masks].tolist(), crossovers)
+        )
 
 
 def greedy_chain(g: AccessStructure) -> list[Subset]:
@@ -389,15 +397,15 @@ def extremal_check(
     """
     rz, auth, cut = _sweep(g, secret, rz)
 
-    def side(flag: np.ndarray, extremal_masks: np.ndarray) -> tuple[EntropyReport, bool]:
+    def side(flag: np.ndarray, extremal_masks: np.ndarray) -> tuple[int, bool]:
         top = cut[flag].max()
         first = min(np.flatnonzero(flag & (cut == top)).tolist(), key=_subset_order)
-        attained = bool((cut[extremal_masks] == top).any())
-        return subset_report(rz, secret, access._members(first)), attained
+        return first, bool((cut[extremal_masks] == top).any())
 
-    return ExtremalReport(
-        *side(auth, g.masks), *side(~auth, access._maximal_unauthorized_masks(g))
-    )
+    unauthorized_masks = access._maximal_unauthorized_masks(g)
+    (top_a, minimal), (top_u, maximal) = side(auth, g.masks), side(~auth, unauthorized_masks)
+    reports = _reports(rz, secret, map(access._members, (top_a, top_u)), np.array([top_a, top_u]))
+    return ExtremalReport(reports[0], minimal, reports[1], maximal)
 
 
 def format_subset(a: Subset) -> str:

@@ -169,9 +169,9 @@ class NormalFormLayout:
         return MonotoneSpanProgram(PrimeField(q), (self.d, self.e), *nonzeros, self.psi)
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
+    def degrees(self) -> np.ndarray:
         """Rows per player: entry p counts the minimal sets holding player p (entry 0 is 0)."""
-        return tuple(np.bincount(self.psi).tolist())
+        return np.bincount(self.psi)
 
     @cached_property
     def cut_table(self) -> tuple[np.ndarray, np.ndarray]:

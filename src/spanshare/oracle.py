@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .access import _mask, subsets_in_order
-from .entropy import SchemeRealization, SecretSpec, subset_bits
+from .entropy import SchemeRealization, SecretSpec, mask_entropies
 from .msp import MonotoneSpanProgram, codewords
 
 DEFAULT_CAP = 2**22  # maximum q^d, the basis strings of the d codeword digits
@@ -333,7 +333,7 @@ def _mismatches(rz, secret, sweep, tolerance, into: list):
     """Pass the sweep through, appending each formula disagreement to `into`."""
     for batch in sweep:
         subsets, masks, simulated, _, _ = batch
-        formula = subset_bits(rz, secret, masks)
+        formula = mask_entropies(rz, secret, masks)[3]
         for i in (np.abs(formula - simulated) > tolerance).nonzero()[0].tolist():
             into.append(FormulaDiscrepancy(subsets[i], float(formula[i]), float(simulated[i])))
         yield batch

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -19,7 +20,6 @@ from spanshare.entropy import (
     MonotonicityViolation,
     SecretSpec,
     chain_profile,
-    greedy_chain,
 )
 from spanshare.fields import FieldMatrix
 
@@ -524,8 +524,11 @@ def test_unconnected_structure_of_2_to_62_players_is_input_error(capsys, tmp_pat
         (["entropy", "--set", "1,2"], "nan,nan"),
         (["verify-theorem"], "nan,0.5"),
         (["verify-oracle"], "nan,nan"),
+        # Refused before `math.fsum`, which overflows on them.
+        (["entropy", "--set", "1"], "1e308,1e308"),
+        (["profile"], "1e308,1e308"),
     ],
-    ids=["entropy", "verify-theorem", "verify-oracle"],
+    ids=["entropy", "verify-theorem", "verify-oracle", "entropy-overflow", "profile-overflow"],
 )
 def test_nan_secret_is_input_error(capsys, tri_path, command, secret):
     code, out, err = run_cli(capsys, *command, "--structure", tri_path, "--secret", secret)
@@ -548,6 +551,27 @@ def test_entropy_5_of_9_ranks(capsys, tmp_path, subset, q, expected):
     path.write_text(json.dumps({"n": 9, "minimal_sets": sets}))
     code, out, _ = run_cli(capsys, "entropy", "--structure", str(path), "--set", subset, "--q", q)
     assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "sets, n, flags, expected",
+    [
+        (list(itertools.combinations(range(1, 8), 4)), 7, ["--q", "3"],
+         "827e86b7bd7ad2c442d2da23e144baa4c74077f8db6c871b48b29d96222bf180"),
+        ([[1, 2], [1, 3], [1, 4]], 4, ["--secret", "0.9,0.1"],
+         "8607bcba3db6b4cbc7375a3bc7ad65794fbf6af0e0156ebdd476af142b4ffdb1"),
+        ([[1, 2], [2, 3], [2, 4], [1, 3, 4]], 4, ["--q", "5", "--secret", "0.5,0.2,0.1,0.1,0.1"],
+         "73bdeb560286f0996ce329097cb0e21eca3393b2993b140e885d1eac2fb111a7"),
+    ],
+    ids=["4-of-7-q3", "purified-fan-biased", "star-hub2-q5-biased"],
+)
+def test_all_chains_output_is_pinned(capsys, tmp_path, sets, n, flags, expected):
+    # sha256 of stdout recorded from the per-chain `chain_profile` loop.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": n, "minimal_sets": [list(s) for s in sets]}))
+    code, out, err = run_cli(capsys, "profile", "--structure", str(path), "--all-chains", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_all_chains_beyond_the_enumeration_cap_is_input_error(capsys, tmp_path):
@@ -610,6 +634,9 @@ def test_verify_oracle_prints_every_violation(capsys, tri_path, monkeypatch, row
          "full set of a pure scheme must carry exactly the secret entropy"),
         # The fan is purified: 0b111 is its full original set.
         ([[1, 2], [1, 3]], {}, {0b111: -1}, 2, "full set must carry at least the secret entropy"),
+        # Off the greedy chain: only chains through (3,) and then (2, 3) meet it.
+        ([[1, 2], [2, 3], [3, 1]], {0b100: True, 0b110: False}, {}, 2,
+         "authorization must flip exactly once along a chain"),
     ],
 )
 def test_chain_contracts_fire_on_a_corrupted_cut_table(
@@ -628,13 +655,20 @@ def test_chain_contracts_fire_on_a_corrupted_cut_table(
 
     g = access.from_minimal_sets(max(map(max, sets)), sets)
     error = RuntimeError if code == 2 else ValueError
+    # The chain through the corrupted sets, which are nested: smaller sets' players first.
+    nested = sorted([*auth_at, *cut_at, (1 << g.n) - 1], key=int.bit_count)
+    order = sorted(g.players, key=lambda p: next(i for i, m in enumerate(nested) if m >> p - 1 & 1))
+    chain = [order[:i] for i in range(g.n + 1)]
     with pytest.raises(error) as info:
-        chain_profile(g, SecretSpec.uniform(2), greedy_chain(g), corrupted(g, 2))
+        chain_profile(g, SecretSpec.uniform(2), chain, corrupted(g, 2))
     assert str(info.value) == message
     path = tmp_path / "g.json"
     path.write_text(access.structure_to_json(g))
     monkeypatch.setattr(cli.entropy, "realize", corrupted)
-    assert run_cli(capsys, "profile", "--structure", str(path)) == (code, "", f"error: {message}\n")
+    steps = "|".join(",".join(map(str, step)) for step in chain[1:])
+    for argv in (["--chain", steps], ["--all-chains"]):  # every chain checked before any line
+        result = run_cli(capsys, "profile", "--structure", str(path), *argv)
+        assert result == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("crash", [RecursionError, NotImplementedError])

@@ -343,7 +343,7 @@ def _assert_ranks_match_elimination(g, q):
     m = rank(rz.program.matrix)
     assert m == rz.layout.e
     for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
-        complement = set(rz.full_players) - set(report.subset)
+        complement = set(rz.layout.structure.players) - set(report.subset)
         assert report.rank_total == m
         assert report.rank_subset == rank(rz.program.submatrix(report.subset))
         assert report.rank_complement == rank(rz.program.submatrix(complement))
@@ -412,8 +412,8 @@ def _assert_cut_table_counts_split_sets(g):
     rz = realize(g, 2)
     sets = [set(a_i) for a_i in rz.layout.minimal_set_order]
     auth, cut = rz.layout.cut_table
-    assert len(cut) == 2 ** len(rz.full_players)
-    for mask, s in enumerate(all_subsets(len(rz.full_players))):
+    assert len(cut) == 2 ** len(rz.layout.structure.players)
+    for mask, s in enumerate(all_subsets(len(rz.layout.structure.players))):
         assert cut[mask] == sum(1 for a_i in sets if a_i & set(s) and a_i - set(s))
         assert auth[mask] == brute_authorized(sets, s)
 
@@ -454,17 +454,17 @@ def test_sweeps_build_reports_only_for_what_they_return(monkeypatch):
     hub = from_minimal_sets(n, [[1, i] for i in range(2, n + 1)] + [list(range(2, n + 1))])
     rz, secret = realize(hub, 2), SecretSpec.uniform(2)
     calls = []
-    original = entropy.subset_report
+    original = entropy.mask_entropies
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(np.size(args[2]))  # subsets evaluated
         return original(*args)
 
-    monkeypatch.setattr(entropy, "subset_report", counting)
+    monkeypatch.setattr(entropy, "mask_entropies", counting)
     assert verify_monotonicity(hub, secret, rz) == []
     assert calls == []
     report = extremal_check(hub, secret, rz)
-    assert len(calls) == 2
+    assert calls == [2]
     assert report.all_pass()
     # k - 1 = 9 split sets at both maxima: first (1, 2), and the share of player 1.
     assert (report.max_authorized.subset, report.max_authorized.entropy_bits) == ((1, 2), 10.0)
