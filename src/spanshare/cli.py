@@ -95,7 +95,9 @@ def _msp(args, g, secret, emit) -> int:
 
 
 def _entropy(args, g, secret, emit) -> int:
-    report = entropy.subset_entropy(g, secret, _parse_players(args.subset))
+    report = entropy.subset_report(
+        entropy.realize(g, args.q), secret, _parse_players(args.subset)
+    )
     if args.fmt == "json":
         emit(
             json.dumps(

@@ -145,6 +145,11 @@ class SchemeRealization:
     def program(self) -> MonotoneSpanProgram:
         return self.layout.program(self.q)
 
+    @property
+    def full_players(self) -> Subset:
+        n = self.structure.n + (1 if self.hidden_player else 0)
+        return tuple(range(1, n + 1))
+
 
 def realize(g: AccessStructure, q: int = 2) -> SchemeRealization:
     """The normal-form realization of `g` over F_q, purifying when not self-dual.
@@ -284,8 +289,11 @@ class EntropyProfile:
 
     def is_tent(self) -> bool:
         """Nondecreasing before the crossover, nonincreasing after it."""
-        vals, j = [r.rank_excess for r in self.reports], self.crossover
-        return vals[:j] == sorted(vals[:j]) and vals[j:] == sorted(vals[j:], reverse=True)
+        vals = [r.rank_excess for r in self.reports]
+        j = self.crossover
+        rising = all(vals[i] <= vals[i + 1] for i in range(j - 1))
+        falling = all(vals[i] >= vals[i + 1] for i in range(j, len(vals) - 1))
+        return rising and falling
 
 
 def chain_profile(
@@ -312,6 +320,7 @@ def chain_profile(
     flags = [r.authorized for r in reports]
     if flags != sorted(flags) or not flags[-1]:
         raise RuntimeError("authorization must flip exactly once along a chain")
+    crossover = flags.index(True)
     if reports[0].rank_excess != 0:
         raise RuntimeError("empty set must carry zero entropy")
     final = reports[-1]
@@ -319,11 +328,11 @@ def chain_profile(
         raise RuntimeError("full set of a pure scheme must carry exactly the secret entropy")
     if final.rank_excess < 0:
         raise RuntimeError("full set must carry at least the secret entropy")
-    return EntropyProfile(tuple(chain), tuple(reports), flags.index(True))
+    return EntropyProfile(tuple(chain), tuple(reports), crossover)
 
 
-def maximal_chains(g: AccessStructure):
-    """All n! one-player-at-a-time chains from empty to full, lexicographic.
+def _player_orders(g: AccessStructure):
+    """The n! orders of adding the players, lexicographic: one per maximal chain.
 
     Refuses up front when n! exceeds 2^ENUMERATION_CAP, the bound the
     subset sweeps use, instead of running for hours.
@@ -332,10 +341,12 @@ def maximal_chains(g: AccessStructure):
         raise ValueError(
             f"refusing {g.n}! chain enumeration (cap 2^{access.ENUMERATION_CAP})"
         )
-    return (
-        [tuple(sorted(perm[:i])) for i in range(g.n + 1)]
-        for perm in permutations(g.players)
-    )
+    return permutations(g.players)
+
+
+def maximal_chains(g: AccessStructure):
+    """All n! one-player-at-a-time chains from empty to full, in `_player_orders`."""
+    return ([tuple(sorted(perm[:i])) for i in range(g.n + 1)] for perm in _player_orders(g))
 
 
 _SLAB_CHAINS = 1 << 12
@@ -343,22 +354,23 @@ _SLAB_CHAINS = 1 << 12
 
 def chain_text_blocks(g: AccessStructure, secret: SecretSpec, rz: SchemeRealization):
     """`chain_profile` over all `maximal_chains` as text, a block per `_SLAB_CHAINS`
-    chains. The chains share one table, checked before the first block: the
-    first chain's profile checks the end contracts, `mask_entropies` every
+    chains. The chains share one table, checked before the first block: every
+    chain has the greedy chain's end contracts, `mask_entropies` checks every
     subset's ranges, and the flag flips once along every chain iff no covering
     pair goes from authorized to unauthorized. Each chain gathers its text from
     that one evaluation, formatted once per subset."""
-    chain_profile(g, secret, next(maximal_chains(g)), rz)  # refused past the cap
+    orders = _player_orders(g)
+    chain_profile(g, secret, greedy_chain(g), rz)
     masks = np.arange(1 << g.n)
     authorized, _, _, bits = mask_entropies(rz, secret, masks)
     if not all((authorized <= authorized[masks | 1 << b]).all() for b in range(g.n)):
         raise RuntimeError("authorization must flip exactly once along a chain")
-    return _chain_lines(g, authorized, np.array([f"{v:.6f}" for v in bits.tolist()], object))
+    fixed6 = np.array([f"{v:.6f}" for v in bits.tolist()], object)
+    return _chain_lines(g, orders, authorized, fixed6)
 
 
-def _chain_lines(g: AccessStructure, authorized: np.ndarray, fixed6: np.ndarray):
+def _chain_lines(g: AccessStructure, orders, authorized: np.ndarray, fixed6: np.ndarray):
     labels = np.array([str(p) for p in range(g.n + 1)], object)
-    orders = permutations(g.players)
     while slab := list(islice(orders, _SLAB_CHAINS)):
         players = np.array(slab)
         masks = np.bitwise_or.accumulate(np.pad(1 << players - 1, ((0, 0), (1, 0))), axis=1)
@@ -400,12 +412,14 @@ def extremal_check(
     def side(flag: np.ndarray, extremal_masks: np.ndarray) -> tuple[int, bool]:
         top = cut[flag].max()
         first = min(np.flatnonzero(flag & (cut == top)).tolist(), key=_subset_order)
-        return first, bool((cut[extremal_masks] == top).any())
+        attained = bool((cut[extremal_masks] == top).any())
+        return first, attained
 
-    unauthorized_masks = access._maximal_unauthorized_masks(g)
-    (top_a, minimal), (top_u, maximal) = side(auth, g.masks), side(~auth, unauthorized_masks)
-    reports = _reports(rz, secret, map(access._members, (top_a, top_u)), np.array([top_a, top_u]))
-    return ExtremalReport(reports[0], minimal, reports[1], maximal)
+    top_authorized, minimal = side(auth, g.masks)
+    top_unauthorized, maximal = side(~auth, access._maximal_unauthorized_masks(g))
+    tops = [top_authorized, top_unauthorized]
+    authorized, unauthorized = _reports(rz, secret, map(access._members, tops), np.array(tops))
+    return ExtremalReport(authorized, minimal, unauthorized, maximal)
 
 
 def format_subset(a: Subset) -> str:

@@ -20,6 +20,7 @@ from spanshare.entropy import (
     MonotonicityViolation,
     SecretSpec,
     chain_profile,
+    greedy_chain,
 )
 from spanshare.fields import FieldMatrix
 
@@ -623,7 +624,7 @@ def test_verify_oracle_prints_every_violation(capsys, tri_path, monkeypatch, row
 @pytest.mark.parametrize(
     "sets, auth_at, cut_at, code, message",
     [
-        # Raised by the report before any contract is asked.
+        # Raised by the range checks in `mask_entropies` before any contract is checked.
         ([[1, 2], [2, 3], [3, 1]], {}, {0b000: 1}, 1, "subset ranks cannot exceed the full rank"),
         ([[1, 2], [2, 3], [3, 1]], {}, {0b111: 1}, 1, "subset ranks cannot exceed the full rank"),
         ([[1, 2], [2, 3], [3, 1]], {0b001: True, 0b011: False}, {}, 2,
@@ -658,7 +659,7 @@ def test_chain_contracts_fire_on_a_corrupted_cut_table(
     # The chain through the corrupted sets, which are nested: smaller sets' players first.
     nested = sorted([*auth_at, *cut_at, (1 << g.n) - 1], key=int.bit_count)
     order = sorted(g.players, key=lambda p: next(i for i, m in enumerate(nested) if m >> p - 1 & 1))
-    chain = [order[:i] for i in range(g.n + 1)]
+    chain = [tuple(order[:i]) for i in range(g.n + 1)]
     with pytest.raises(error) as info:
         chain_profile(g, SecretSpec.uniform(2), chain, corrupted(g, 2))
     assert str(info.value) == message
@@ -666,9 +667,11 @@ def test_chain_contracts_fire_on_a_corrupted_cut_table(
     path.write_text(access.structure_to_json(g))
     monkeypatch.setattr(cli.entropy, "realize", corrupted)
     steps = "|".join(",".join(map(str, step)) for step in chain[1:])
-    for argv in (["--chain", steps], ["--all-chains"]):  # every chain checked before any line
-        result = run_cli(capsys, "profile", "--structure", str(path), *argv)
-        assert result == (code, "", f"error: {message}\n")
+    # No flag runs the greedy chain; --all-chains checks every chain before any line.
+    for argv in ([], ["--chain", steps], ["--all-chains"]):
+        if argv or chain == greedy_chain(g):
+            result = run_cli(capsys, "profile", "--structure", str(path), *argv)
+            assert result == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("crash", [RecursionError, NotImplementedError])

@@ -343,7 +343,7 @@ def _assert_ranks_match_elimination(g, q):
     m = rank(rz.program.matrix)
     assert m == rz.layout.e
     for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
-        complement = set(rz.layout.structure.players) - set(report.subset)
+        complement = set(rz.full_players) - set(report.subset)
         assert report.rank_total == m
         assert report.rank_subset == rank(rz.program.submatrix(report.subset))
         assert report.rank_complement == rank(rz.program.submatrix(complement))
@@ -412,8 +412,8 @@ def _assert_cut_table_counts_split_sets(g):
     rz = realize(g, 2)
     sets = [set(a_i) for a_i in rz.layout.minimal_set_order]
     auth, cut = rz.layout.cut_table
-    assert len(cut) == 2 ** len(rz.layout.structure.players)
-    for mask, s in enumerate(all_subsets(len(rz.layout.structure.players))):
+    assert len(cut) == 2 ** len(rz.full_players)
+    for mask, s in enumerate(all_subsets(len(rz.full_players))):
         assert cut[mask] == sum(1 for a_i in sets if a_i & set(s) and a_i - set(s))
         assert auth[mask] == brute_authorized(sets, s)
 
