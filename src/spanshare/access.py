@@ -80,10 +80,6 @@ class AccessStructure:
     _masks: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _masks):
-        if self.n < 1:
-            raise ValueError("need at least one player")
-        if not self.minimal_sets:
-            raise ValueError("at least one minimal authorized set is required")
         if _masks is None:
             sets = self.minimal_sets
             built = from_minimal_sets(self.n, sets)
@@ -130,37 +126,48 @@ def _mask_array(masks: list[int], n: int) -> np.ndarray:
 
 
 def _scan_masks(sets: list[Subset], n: int) -> list[int]:
-    """The mask of each set, checked one set at a time: the first fault met raises,
-    be it an empty set, a player out of range or a repeated player."""
+    """The mask of each set, checked one value at a time: the first fault met raises.
+
+    Every value must be an `int` (not a bool, float, str or numpy
+    integer): n first, then each player in input order. Then n must lie
+    in 1..2^63 - 1 and some set be given; then each set in turn must be
+    nonempty, in range 1..n and free of repeated players.
+    """
+    for value in chain((n,), *sets):
+        if type(value) is not int:
+            raise ValueError(f"expected an integer in structure JSON, got {value!r}")
+    if n < 1:
+        raise ValueError("need at least one player")
+    if n >= 1 << 63:  # numpy does size arithmetic with n in int64
+        raise ValueError(f"player count {n} does not fit in 64 bits")
+    if not sets:
+        raise ValueError("at least one minimal authorized set is required")
     masks = []
     for s in sets:
         if not s:
             raise ValueError("authorized sets must be nonempty")
         m = _mask(s, n)
-        if len(s) != bin(m).count("1"):
+        if len(s) != m.bit_count():
             raise ValueError(f"repeated player in set {s}")
-        masks.append(int(m))
+        masks.append(m)
     return masks
 
 
 def _masks_of(sets: list[Subset], n: int) -> list[int]:
     """`_scan_masks(sets, n)` in C-level passes; the scan runs only to name a fault.
 
-    A mask is the sum of its players' bits. A repeated player makes that
-    sum carry, so the mask has fewer bits than the set has members.
+    The types of n and every player are gathered in one pass, so one
+    value that is not an `int` fails it. A mask is the sum of its
+    players' bits. A repeated player makes that sum carry, so the mask
+    has fewer bits than the set has members.
     """
-    try:
-        # One float or numpy scalar among the players makes their sum one too.
-        valid = all(sets) and type(sum(chain.from_iterable(sets))) is int
+    if all(sets) and set(map(type, chain((n,), *sets))) == {int}:
         players = set(chain.from_iterable(sets))
-        valid = valid and (not players or 1 <= min(players) <= max(players) <= n)
-    except TypeError:  # a player that is no number
-        valid = False
-    if valid:
-        bit = {p: 1 << (p - 1) for p in players}
-        masks = list(map(sum, map(map, repeat(bit.__getitem__), sets)))
-        if list(map(int.bit_count, masks)) == list(map(len, sets)):
-            return masks
+        if players and 1 <= min(players) and max(players) <= n < 1 << 63:
+            bit = {p: 1 << (p - 1) for p in players}
+            masks = list(map(sum, map(map, repeat(bit.__getitem__), sets)))
+            if list(map(int.bit_count, masks)) == list(map(len, sets)):
+                return masks
     return _scan_masks(sets, n)
 
 
@@ -207,12 +214,12 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
     """Build a structure, dropping supersets and canonicalizing.
 
     A set that strictly contains another listed set is redundant and is
-    removed; two sets with the same members are an error. Faults are
-    found in C-level passes, and the first one in input order is named.
-    Every structure is checked and given its masks here.
+    removed; two sets with the same members are an error. n and every
+    player must be an `int`: bools, floats, strings and numpy integers
+    are refused (pass a numpy array's `.tolist()`). Faults are found in
+    C-level passes, and the first one in input order is named. Every
+    structure is checked and given its masks here, JSON input included.
     """
-    if n < 1:
-        raise ValueError("need at least one player")
     sets = list(map(tuple, sets))
     masks = _masks_of(sets, n)
     if len(set(masks)) != len(masks):
@@ -232,31 +239,11 @@ def from_minimal_sets(n: int, sets) -> AccessStructure:
     return AccessStructure(n, canonical, presentation, masks[keep])
 
 
-def _json_int(value) -> int:
-    # int() would truncate 3.7 and accept true; only JSON integers count.
-    if type(value) is not int:
-        raise ValueError(f"expected an integer in structure JSON, got {value!r}")
-    return value
-
-
-def _json_sets(sets) -> list[Subset]:
-    """The sets as tuples, every player checked to be a JSON integer in one C-level pass."""
-    try:
-        tuples = list(map(tuple, sets))
-        if set(map(type, chain.from_iterable(tuples))) <= {int}:
-            return tuples
-    except TypeError:
-        pass
-    # Scan in order: this raises for the first bad value, as a TypeError or naming it.
-    return [tuple(_json_int(p) for p in s) for s in sets]
-
-
 def structure_from_json(text: str) -> AccessStructure:
-    """Parse {"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}."""
+    """Parse {"n": 3, "minimal_sets": [[1,2],[2,3],[3,1]]}; `from_minimal_sets` checks values."""
     data = json.loads(text)
     try:
-        n = _json_int(data["n"])
-        sets = _json_sets(data["minimal_sets"])
+        n, sets = data["n"], list(map(tuple, data["minimal_sets"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"structure JSON needs 'n' and 'minimal_sets': {exc}") from exc
     return from_minimal_sets(n, sets)

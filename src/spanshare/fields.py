@@ -59,8 +59,9 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"field modulus must be prime, got {self.q}")
+        # A float modulus passes Miller-Rabin (3.0) or fails in pow() (2.5): only ints count.
+        if type(self.q) is not int or not is_prime(self.q):
+            raise ValueError(f"field modulus must be prime, got {self.q!r}")
 
     @property
     def dtype(self) -> np.dtype:

@@ -58,6 +58,18 @@ def test_empty_inputs_rejected():
         from_minimal_sets(3, [[1, 4]])
     with pytest.raises(ValueError):
         from_minimal_sets(3, [[1, 1, 2]])
+    # Python input meets the same integer check as JSON: one ValueError naming the value.
+    triangle = [[1, 2], [2, 3], [3, 1]]
+    for n, sets, value in (
+        (3, [[True, 2], [2, 3], [3, 1]], "True"),
+        (3, np.array(triangle), repr(np.int64(1))),
+        (3, [["a", 2]], "'a'"),
+        (3.0, triangle, "3.0"),
+        (True, triangle, "True"),
+    ):
+        with pytest.raises(ValueError) as info:
+            from_minimal_sets(n, sets)
+        assert str(info.value) == f"expected an integer in structure JSON, got {value}"
 
 
 def test_is_authorized(triangle):
@@ -480,6 +492,7 @@ CANONICAL = "minimal sets must form an antichain, members ascending, sets sorted
         (3, ((1,), (1, 2)), (), CANONICAL),  # a superset of another set
         (3, ((1, 2),), ((1, 3),), "presentation must list the same sets"),
         (3, ((1, 2), (1, 3)), ((1, 2),), "presentation must list the same sets"),
+        (2**63, ((1,),), (), "player count 9223372036854775808 does not fit in 64 bits"),
     ],
 )
 def test_malformed_direct_construction_is_rejected(n, sets, presentation, message):

@@ -41,7 +41,7 @@ def test_prime_moduli_accepted(q):
     assert PrimeField(q).q == q
 
 
-@pytest.mark.parametrize("q", [0, 1, 4, 6, 8, 9, 15, 25])
+@pytest.mark.parametrize("q", [0, 1, 4, 6, 8, 9, 15, 25, 3.0, 2.5, True])
 def test_composite_moduli_rejected(q):
     with pytest.raises(ValueError):
         PrimeField(q)
@@ -100,6 +100,8 @@ def test_dimension_checks():
         FieldMatrix(F2, ((1, 0), (1,)))
     with pytest.raises(ValueError):
         FieldMatrix(F2, ())  # no rows and no explicit column count
+    with pytest.raises(ValueError, match="vector length does not match column count"):
+        FieldMatrix(F2, ((1, 0),)).mul_vector((1, 0, 1))
 
 
 def test_rank_reference_matrix():
@@ -261,6 +263,8 @@ def test_matrix_text_rejects_garbage():
         matrix_from_text("2 2 2\n1 0\n")
     with pytest.raises(ValueError):
         matrix_from_text("1 2 2\n1 0 1\n")
+    with pytest.raises(ValueError, match="bad matrix header"):
+        matrix_from_text("1 2\n1 0\n")
 
 
 @st.composite

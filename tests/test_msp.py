@@ -181,6 +181,20 @@ def test_program_rejects_nonzeros_off_the_matrix(tri_program, row, col, value):
         MonotoneSpanProgram(program.field, program.shape, row, col, value, program.psi)
 
 
+@pytest.mark.parametrize(
+    "shape, psi, message",
+    [
+        ((6, 4), (1, 1, 2, 2, 3), "psi must label every matrix row"),
+        ((6, 0), (1, 1, 2, 2, 3, 3), "need at least the secret column"),
+        ((6, 4), (1, 1, 2, 2, 4, 4), "psi must be surjective onto 1..n"),
+    ],
+)
+def test_program_rejects_a_bad_shape_or_labeling(tri_program, shape, psi, message):
+    program = tri_program[0]
+    with pytest.raises(ValueError, match=message):
+        MonotoneSpanProgram(program.field, shape, program.row, program.col, program.value, psi)
+
+
 def test_program_of_7_of_13_is_its_nonzeros():
     # 22,308 nonzeros of a 12012 x 10297 matrix: the dense tuple rows alone
     # would take about 1 GB. None is built until `matrix` is read.
@@ -414,6 +428,8 @@ def test_row_case_precondition_errors(tri_program):
         row_independence_case(program, layout, (1,), 1, (1, 2))
     with pytest.raises(ValueError):
         row_independence_case(program, layout, (), 1, (2, 3))
+    with pytest.raises(ValueError, match=r"\(1,\) is not a minimal set"):
+        row_independence_case(program, layout, (), 1, (1,))
 
 
 def test_row_case_straddling_in_star(star4_rz):
@@ -446,6 +462,8 @@ def test_rank_bookkeeping_precondition(tri_program, triangle):
     program, layout = tri_program
     with pytest.raises(ValueError):
         rank_bookkeeping(program, layout, triangle, (2,), 3)  # {1} unauthorized
+    with pytest.raises(ValueError, match="pivot player must lie outside the subset"):
+        rank_bookkeeping(program, layout, triangle, (1,), 1)
 
 
 def test_rank_bookkeeping_star_example(star4_rz):

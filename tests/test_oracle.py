@@ -118,6 +118,8 @@ def test_dump_state_format(triangle_rz):
 def test_pure_state_normalization_enforced():
     with pytest.raises(ValueError):
         PureState(2, 1, np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(ValueError, match="wrong length"):
+        PureState(2, 2, np.array([1.0, 0.0], dtype=complex))
 
 
 def test_share_layout_triangle(triangle_rz):
