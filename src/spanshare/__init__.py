@@ -28,7 +28,6 @@ from .entropy import (
     chain_profile,
     extremal_check,
     realize,
-    subset_entropy,
     subset_report,
     verify_monotonicity,
 )
@@ -40,20 +39,14 @@ from .msp import (
     build_normal_form,
     computes,
     dispensable_rows,
-    encoding_image,
-    msp_to_text,
     rank_bookkeeping,
     rejection_witness,
     row_independence_case,
     structural_check,
-    to_css,
 )
 from .oracle import (
-    PureState,
     compare_with_formula,
-    encode_secret,
     oracle_subset_entropy,
-    reduced_entropy,
     verify_secrecy_recoverability,
 )
 

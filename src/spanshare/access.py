@@ -25,6 +25,8 @@ ENUMERATION_CAP = 20
 def _mask(members, n: int) -> int:
     m = 0
     for p in members:
+        if type(p) is not int:
+            raise ValueError(f"player {p!r} is not an integer")
         if not 1 <= p <= n:
             raise ValueError(f"player {p} out of range 1..{n}")
         m |= 1 << (p - 1)

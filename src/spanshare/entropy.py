@@ -91,13 +91,6 @@ class SecretSpec:
     def uniform(cls, q: int) -> "SecretSpec":
         return cls(q)
 
-    @classmethod
-    def point(cls, q: int, s: int) -> "SecretSpec":
-        """All weight on s: a tuple of q floats, for fields the oracle can sweep."""
-        dist = [0.0] * q
-        dist[s % q] = 1.0
-        return cls(q, tuple(dist))
-
     @property
     def probabilities(self) -> np.ndarray:
         """The q probabilities as an array, built on each read."""
@@ -144,11 +137,6 @@ class SchemeRealization:
     @cached_property
     def program(self) -> MonotoneSpanProgram:
         return self.layout.program(self.q)
-
-    @property
-    def full_players(self) -> Subset:
-        n = self.structure.n + (1 if self.hidden_player else 0)
-        return tuple(range(1, n + 1))
 
 
 def realize(g: AccessStructure, q: int = 2) -> SchemeRealization:
@@ -201,14 +189,17 @@ def subset_report(rz: SchemeRealization, secret: SecretSpec, a) -> EntropyReport
     return _reports(rz, secret, [a], np.array([access._mask(a, rz.structure.n)]))[0]
 
 
-def subset_entropy(g: AccessStructure, secret: SecretSpec, a) -> EntropyReport:
-    return subset_report(realize(g, secret.q), secret, a)
+def _check_structure(rz: SchemeRealization, g: AccessStructure):
+    """Refuse a realization of another structure; identity is tested first, as it is cheap."""
+    if rz.structure is not g and rz.structure != g:
+        raise ValueError("realization is of another structure")
 
 
 def _sweep(g: AccessStructure, secret: SecretSpec, rz: SchemeRealization | None):
     """The checked realization and its (auth, cut) over the original players' masks."""
     access._check_cap(g.n)
     rz = rz or realize(g, secret.q)
+    _check_structure(rz, g)
     if secret.q != rz.q:
         raise ValueError("secret field does not match the program field")
     auth, cut = rz.layout.cut_table
@@ -310,12 +301,13 @@ def chain_profile(
     (at least S(secret) otherwise).
     """
     chain = [tuple(sorted(set(step))) for step in chain]
-    if chain[0] != () or chain[-1] != g.players:
+    if not chain or chain[0] != () or chain[-1] != g.players:
         raise ValueError("chain must run from the empty set to all players")
     for prev, nxt in zip(chain, chain[1:]):
         if not (set(prev) < set(nxt) and len(nxt) == len(prev) + 1):
             raise ValueError("chain must add exactly one player per step")
     rz = rz or realize(g, secret.q)
+    _check_structure(rz, g)
     reports = _reports(rz, secret, chain, np.array([access._mask(s, g.n) for s in chain]))
     flags = [r.authorized for r in reports]
     if flags != sorted(flags) or not flags[-1]:

@@ -119,13 +119,6 @@ class FieldMatrix:
     def submatrix(self, row_indices) -> "FieldMatrix":
         return FieldMatrix(self.field, self.array[list(row_indices)], self.cols)
 
-    def mul_vector(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        q = self.field.q
-        products = self.array * np.array([x % q for x in v], self.field.dtype) % q
-        return tuple((products.sum(axis=1) % q).tolist())
-
 
 def _rref(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a copy of `a`; returns (rows, pivot columns).

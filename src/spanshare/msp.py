@@ -441,41 +441,6 @@ def rank_bookkeeping(
     return result
 
 
-@dataclass(frozen=True)
-class CssForm:
-    """Coset description of the encoding: secret column plus code span.
-
-    x_bar is the secret column of M read along the d coordinates; the
-    generators are the remaining columns, spanning the code C. The
-    encoding of s is the uniform superposition over s * x_bar + C.
-    """
-
-    q: int
-    x_bar: Vector
-    generators: tuple[Vector, ...]
-
-    def code(self) -> frozenset[Vector]:
-        span = {(0,) * len(self.x_bar)}
-        for gen in self.generators:
-            span = {
-                tuple((x + t * y) % self.q for x, y in zip(v, gen))
-                for v in span
-                for t in range(self.q)
-            }
-        return frozenset(span)
-
-    def coset(self, s: int) -> frozenset[Vector]:
-        return frozenset(
-            tuple((s * x + c) % self.q for x, c in zip(self.x_bar, cw)) for cw in self.code()
-        )
-
-
-def to_css(msp: MonotoneSpanProgram, layout: NormalFormLayout) -> CssForm:
-    """Read the coset form off the columns of a normal-form matrix."""
-    x_bar, *generators = map(tuple, msp.matrix.array.T.tolist())
-    return CssForm(msp.field.q, x_bar, tuple(generators))
-
-
 def codewords(msp: MonotoneSpanProgram) -> np.ndarray:
     """Every codeword M u as its basis index sum(y_j * q^(d-j)), shape
     (q, q^(e-1)), row s holding those with u_0 = s, u enumerated big-endian.
@@ -508,14 +473,6 @@ def codewords(msp: MonotoneSpanProgram) -> np.ndarray:
     return index.reshape(q, q ** (e - 1))
 
 
-def encoding_image(msp: MonotoneSpanProgram, s: int) -> frozenset[Vector]:
-    """All codewords M u with u_0 = s, as a set view of `codewords`; the
-    coset form is checked against it."""
-    q, d = msp.field.q, msp.shape[0]
-    digits = codewords(msp)[s % q][:, None] // q ** np.arange(d - 1, -1, -1) % q
-    return frozenset(map(tuple, digits.tolist()))
-
-
 def dispensable_rows(msp: MonotoneSpanProgram, g: AccessStructure) -> list[int]:
     """Rows whose deletion leaves every owning minimal set accepted.
 
@@ -541,16 +498,11 @@ def dispensable_rows(msp: MonotoneSpanProgram, g: AccessStructure) -> list[int]:
 
 
 def msp_text_blocks(msp: MonotoneSpanProgram) -> Iterator[str]:
-    """The text of `msp_to_text` in blocks: the 'd e q' header, the matrix a
-    slab of rows at a time, then the 'psi:' line."""
+    """A program's text in blocks: the 'd e q' header, the matrix a slab of
+    rows at a time, then the labeling line 'psi: 1 2 2 3 3 1'."""
     (d, e), psi = msp.shape, " ".join(map(str, msp.psi))
     matrix = coords_to_text(msp.row, msp.col, msp.value, msp.shape)
     return chain([f"{d} {e} {msp.field.q}\n"], matrix, [f"psi: {psi}\n"])
-
-
-def msp_to_text(msp: MonotoneSpanProgram) -> str:
-    """Matrix text plus a labeling line 'psi: 1 2 2 3 3 1'."""
-    return "".join(msp_text_blocks(msp))
 
 
 def msp_from_text(text: str) -> MonotoneSpanProgram:

@@ -12,9 +12,9 @@ on block L's A-patterns: entropies, trace distances and overlaps are
 sums over the integer counts w, and secrecy and recoverability are
 exact tests. Both block facts are checked, not assumed. The sweep
 shares no code path with the rank formula, so agreement between the
-two is evidence, not tautology. `encode_secret`, `reduced_entropy`,
-`trace_distance` and `dump_state` are the dense reference the tests
-hold the sweep to.
+two is evidence, not tautology. The dense reference the tests hold
+the sweep to, state vectors reduced and diagonalized, lives in
+`tests/dense_reference.py`.
 
 Basis convention: a codeword (y_1, ..., y_d) maps to the amplitude
 index sum(y_j * q^(d-j)), i.e. big-endian with coordinate 1 most
@@ -23,7 +23,6 @@ significant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,91 +34,12 @@ from .msp import MonotoneSpanProgram, codewords
 
 DEFAULT_CAP = 2**22  # maximum q^d, the basis strings of the d codeword digits
 
-EIG_CLIP = 1e-12  # eigenvalues below this count as zero in entropies
-
 FORMULA_TOLERANCE = 1e-6  # bits by which the simulation may differ from the formula
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized amplitude vector over (F_q)^d basis strings."""
-
-    q: int
-    num_coords: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (self.q**self.num_coords,):
-            raise ValueError("amplitude vector has the wrong length")
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state is not normalized (norm {norm})")
-        self.amplitudes.setflags(write=False)
 
 
 def exceeds_cap(q: int, d: int, cap: int) -> bool:
     """True when the q^d basis strings are over the cap."""
     return q**d > cap
-
-
-def basis_index(codeword, q: int) -> int:
-    idx = 0
-    for y in codeword:
-        idx = idx * q + (y % q)
-    return idx
-
-
-def basis_string(index: int, q: int, d: int) -> str:
-    digits = []
-    for _ in range(d):
-        index, digit = divmod(index, q)
-        digits.append(str(digit))
-    return "".join(reversed(digits))
-
-
-def encode_secret(msp: MonotoneSpanProgram, s: int, cap: int = DEFAULT_CAP) -> PureState:
-    """Equal superposition over the q^(e-1) codewords with secret s."""
-    q, d = msp.field.q, msp.shape[0]
-    index = _encode(msp, cap)[s % q]
-    amplitudes = np.zeros(q**d, dtype=complex)
-    amplitudes[index] = 1.0 / math.sqrt(len(index))
-    return PureState(q, d, amplitudes)
-
-
-def dump_state(state: PureState) -> str:
-    """One 'basis-string re im' line per nonzero amplitude, sorted."""
-    lines = []
-    for idx in range(state.amplitudes.shape[0]):
-        amp = state.amplitudes[idx]
-        if abs(amp) <= 1e-15:
-            continue
-        lines.append(
-            f"{basis_string(idx, state.q, state.num_coords)} {amp.real:.12g} {amp.imag:.12g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _reduce_pure(state: PureState, coords: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix of a pure state on the given coordinates."""
-    q, d = state.q, state.num_coords
-    if not coords:
-        return np.ones((1, 1), dtype=complex)
-    kept = [c - 1 for c in coords]
-    rest = [i for i in range(d) if i not in set(kept)]
-    tensor = state.amplitudes.reshape([q] * d).transpose(kept + rest)
-    mat = tensor.reshape(q ** len(kept), q ** len(rest))
-    return mat @ mat.conj().T
-
-
-def entropy_bits_of(matrix: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(matrix)
-    eigs = eigs[eigs > EIG_CLIP]
-    return float(-(eigs * np.log2(eigs)).sum())
-
-
-def reduced_entropy(state: PureState, coords) -> float:
-    """Entropy in bits of the reduction onto the given coordinates."""
-    return entropy_bits_of(_reduce_pure(state, tuple(sorted(coords))))
 
 
 def _encode(msp: MonotoneSpanProgram, cap: int) -> np.ndarray:
@@ -260,10 +180,6 @@ def oracle_subset_entropy(
         raise ValueError(f"subset {a} contains unknown players")
     ((_, _, bits, _, _),) = _sweep(rz, secret, cap, [a])
     return float(bits[0])
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return float(0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
 
 
 def _pair_measures(w: np.ndarray, authorized: bool) -> list[tuple[int, int, float]]:

@@ -23,21 +23,18 @@ from spanshare.entropy import (
 from spanshare.msp import (
     build_normal_form,
     dispensable_rows,
-    encoding_image,
     rank_bookkeeping,
     row_independence_case,
     structural_check,
-    to_css,
 )
 from spanshare.oracle import (
-    basis_string,
     compare_with_formula,
-    encode_secret,
     oracle_subset_entropy,
     verify_secrecy_recoverability,
 )
 
 from conftest import all_subsets
+from dense_reference import basis_string, encode_secret, encoding_image, to_css
 
 TRIANGLE = from_minimal_sets(3, [[1, 2], [2, 3], [3, 1]])
 FAN = from_minimal_sets(3, [[1, 2], [1, 3]])

@@ -346,6 +346,8 @@ def test_enumeration_cap(monkeypatch):
     big = AccessStructure(25, ((1,),))
     with pytest.raises(ValueError):
         dual(big)
+    with pytest.raises(ValueError, match="structure enumeration is for small n only"):
+        next(enumerate_structures(7))
     # the module-level cap is the one knob
     small = from_minimal_sets(3, [[1, 2]])
     monkeypatch.setattr(access, "ENUMERATION_CAP", 2)

@@ -186,6 +186,14 @@ def test_verify_oracle_degrades_when_capped(capsys, tri_path):
     assert code == 0
     assert "formula only" in out
     assert "warning" in err
+    # The default cap, 2^22, lies between 13^5 and 13^6: the triangle (d = 6)
+    # at q = 13 falls back to the formula, and runs the oracle at cap 13^6.
+    code, out, err = run_cli(capsys, "verify-oracle", "--structure", tri_path, "--q", "13")
+    assert (code, out) == (0, "OK (formula only): 0 violations over 8 subsets\n")
+    assert err.startswith("warning: q^d = 13^6 exceeds cap 4194304;")
+    argv = ["verify-oracle", "--structure", tri_path, "--q", "13", "--cap", "4826809"]
+    ok = "OK: 8/8 subsets match; secrecy OK; recoverability OK\n"
+    assert run_cli(capsys, *argv) == (0, ok, "")
 
 
 def test_css(capsys, tri_path):
@@ -239,7 +247,7 @@ def test_msp_and_css_slabs_match_the_whole_array(capsys, monkeypatch, t6of11_pat
     program = normal_form(t6of11_path, q)
     with monkeypatch.context() as whole:
         whole.setattr(fields, "_SLAB_CELLS", 1 << 40)
-        expected_msp = msp.msp_to_text(program)
+        expected_msp = "".join(msp.msp_text_blocks(program))
         columns = fields.coords_to_text(*program.columns, program.shape[::-1])
         expected_css = "xbar: " + "\ngenerator: ".join("".join(columns).splitlines()) + "\n"
     assert run_cli(capsys, "msp", "--structure", t6of11_path, "--q", str(q)) == (0, expected_msp, "")

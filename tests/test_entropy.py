@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from spanshare import access
 from spanshare.access import classify, enumerate_structures, from_minimal_sets, purify
 from spanshare.entropy import (
+    EntropyProfile,
+    EntropyReport,
     SecretSpec,
     all_subset_entropies,
     chain_profile,
@@ -21,7 +23,6 @@ from spanshare.entropy import (
     maximal_chains,
     realize,
     reports_to_csv,
-    subset_entropy,
     subset_report,
     verify_monotonicity,
 )
@@ -75,7 +76,7 @@ def test_uniform_secret_matches_its_explicit_list(triangle, q):
 
 def test_secret_entropy_values():
     assert SecretSpec.uniform(2).entropy_bits == 1.0
-    assert SecretSpec.point(2, 0).entropy_bits == 0.0
+    assert SecretSpec(2, (1.0, 0.0)).entropy_bits == 0.0
     h = SecretSpec(2, (0.9, 0.1)).entropy_bits
     assert abs(h - (-0.9 * math.log2(0.9) - 0.1 * math.log2(0.1))) < 1e-15
     assert abs(SecretSpec.uniform(3).entropy_bits - math.log2(3)) < 1e-15
@@ -112,16 +113,35 @@ def test_star4_sweep_is_finite_and_nonnegative(star4, star4_rz, uniform2):
 
 
 def test_subset_entropy_convenience(triangle, uniform2):
-    assert subset_entropy(triangle, uniform2, (2, 3)).entropy_bits == 3.0
+    assert subset_report(realize(triangle, 2), uniform2, (2, 3)).entropy_bits == 3.0
 
 
 def test_rejects_unrealizable_and_field_mismatch(triangle, triangle_rz):
     with pytest.raises(ValueError):
-        subset_entropy(from_minimal_sets(4, [[1, 2], [3, 4]]), SecretSpec.uniform(2), ())
+        realize(from_minimal_sets(4, [[1, 2], [3, 4]]), 2)
     with pytest.raises(ValueError):
         subset_report(triangle_rz, SecretSpec.uniform(3), (1,))
     with pytest.raises(ValueError):
         subset_report(triangle_rz, SecretSpec.uniform(2), (9,))
+    # A player that is not an int is refused by name, not read as a bit.
+    with pytest.raises(ValueError, match="^player True is not an integer$"):
+        subset_report(triangle_rz, SecretSpec.uniform(2), (True, 2))
+    with pytest.raises(ValueError, match=r"^player 1\.0 is not an integer$"):
+        subset_report(triangle_rz, SecretSpec.uniform(2), [1.0])
+
+
+def test_realization_of_another_structure_is_refused(triangle, fan_rz, uniform2):
+    # The fan's tables must not be reported as the triangle's answers.
+    for sweep in (verify_monotonicity, extremal_check, all_subset_entropies):
+        with pytest.raises(ValueError, match="realization is of another structure"):
+            sweep(triangle, uniform2, fan_rz)
+    with pytest.raises(ValueError, match="realization is of another structure"):
+        chain_profile(triangle, uniform2, greedy_chain(triangle), fan_rz)
+    # An equal structure built separately is the same structure.
+    twin = from_minimal_sets(3, triangle.minimal_sets)
+    assert twin is not triangle
+    assert verify_monotonicity(twin, uniform2, realize(triangle, 2)) == []
+    assert chain_profile(twin, uniform2, greedy_chain(twin), realize(triangle, 2)).is_tent()
 
 
 def test_fan_goes_through_purification(fan, fan_rz, uniform2):
@@ -200,6 +220,25 @@ def test_chain_validation(triangle, uniform2):
         chain_profile(triangle, uniform2, [(1,), (1, 2), (1, 2, 3)])
     with pytest.raises(ValueError):
         chain_profile(triangle, uniform2, [(), (1,), (1, 2)])
+    with pytest.raises(ValueError, match="chain must run from the empty set to all players"):
+        chain_profile(triangle, uniform2, [])
+
+
+def synthetic_profile(excesses, crossover):
+    """A profile along the greedy chain whose reports carry the given rank excesses."""
+    chain = tuple(tuple(range(1, i + 1)) for i in range(len(excesses)))
+    reports = tuple(
+        EntropyReport(s, i >= crossover, x, 0, 0, float(x))
+        for i, (s, x) in enumerate(zip(chain, excesses))
+    )
+    return EntropyProfile(chain, reports, crossover)
+
+
+def test_is_tent_checks_both_sides_up_to_the_crossover():
+    # A plateau after the crossover is still nonincreasing.
+    assert synthetic_profile((0, 1, 2, 1, 1, 0), 3).is_tent()
+    # A fall on the step into index j - 1, just before the crossover j = 3, is no tent.
+    assert not synthetic_profile((0, 2, 1, 1, 0), 3).is_tent()
 
 
 def test_greedy_chain(triangle):
@@ -343,7 +382,7 @@ def _assert_ranks_match_elimination(g, q):
     m = rank(rz.program.matrix)
     assert m == rz.layout.e
     for report in all_subset_entropies(g, SecretSpec.uniform(q), rz):
-        complement = set(rz.full_players) - set(report.subset)
+        complement = set(range(1, rz.layout.structure.n + 1)) - set(report.subset)
         assert report.rank_total == m
         assert report.rank_subset == rank(rz.program.submatrix(report.subset))
         assert report.rank_complement == rank(rz.program.submatrix(complement))
@@ -412,8 +451,8 @@ def _assert_cut_table_counts_split_sets(g):
     rz = realize(g, 2)
     sets = [set(a_i) for a_i in rz.layout.minimal_set_order]
     auth, cut = rz.layout.cut_table
-    assert len(cut) == 2 ** len(rz.full_players)
-    for mask, s in enumerate(all_subsets(len(rz.full_players))):
+    assert len(cut) == 2**rz.layout.structure.n
+    for mask, s in enumerate(all_subsets(rz.layout.structure.n)):
         assert cut[mask] == sum(1 for a_i in sets if a_i & set(s) and a_i - set(s))
         assert auth[mask] == brute_authorized(sets, s)
 

@@ -100,8 +100,6 @@ def test_dimension_checks():
         FieldMatrix(F2, ((1, 0), (1,)))
     with pytest.raises(ValueError):
         FieldMatrix(F2, ())  # no rows and no explicit column count
-    with pytest.raises(ValueError, match="vector length does not match column count"):
-        FieldMatrix(F2, ((1, 0),)).mul_vector((1, 0, 1))
 
 
 def test_rank_reference_matrix():
@@ -212,7 +210,7 @@ def test_kernel_vectors_annihilate_and_are_independent(m):
     basis = kernel_basis(m)
     assert len(basis) == m.cols - rank(m)
     for v in basis:
-        assert m.mul_vector(v) == (0,) * m.rows
+        assert not (m.array @ np.array(v) % m.field.q).any()
     if basis:
         assert rank(FieldMatrix(m.field, tuple(basis), m.cols)) == len(basis)
 
